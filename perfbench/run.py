@@ -20,7 +20,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build")
 BINARY = os.path.join(BUILD, "survey_bench")
-WORKLOADS = ("fb_clean", "fb_dirty", "drapid_spe", "serve_mixed")
+WORKLOADS = ("fb_clean", "drapid_spe", "serve_mixed")
 
 
 def fail(msg):

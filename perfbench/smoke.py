@@ -8,13 +8,11 @@ Run from the root of a checkout. For each workload, runs perfbench/run.py at
   * every metric BENCHMARK.json names (end_to_end untraced, per_layer traced)
     is emitted with its unit, and nothing else;
   * every correctness check passed (correct, failed == 0);
-  * the traced run confirms the bypasses (no mitigation or coincidence time
-    on fb_clean, no IPC on fb_*, no sweep time on drapid_spe) and that the
-    layers each workload is for did work;
+  * the traced run confirms the bypasses (no IPC on fb_clean, no sweep time
+    on drapid_spe) and that the layers each workload is for did work;
   * per-layer self times cover at least 90% of the traced job on the batch
     workloads.
-fb_dirty, which BENCHMARK.json leaves out, runs too. Exits non-zero on the
-first failure.
+Exits non-zero on the first failure.
 """
 import argparse
 import json
@@ -26,20 +24,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 BYPASSED_ZERO = {
-    "fb_clean": ["dedisp.mitigation.s", "clustering.coincidence.s",
-                 "dataflow.ipc_mb"],
-    "fb_dirty": ["dataflow.ipc_mb"],
+    "fb_clean": ["dataflow.ipc_mb"],
     "drapid_spe": ["dedisp.sweep.s"],
     "serve_mixed": [],
 }
 EXERCISED = {
     "fb_clean": ["dedisp.sweep.s", "clustering.dbscan.s", "ml.predict.s"],
-    "fb_dirty": ["dedisp.mitigation.s", "clustering.coincidence.s",
-                 "dedisp.sweep.s"],
     "drapid_spe": ["dataflow.ipc_mb", "dataflow.search.s", "ml.train.s"],
     "serve_mixed": ["dedisp.sweep.s", "serve.query.s"],
 }
-BATCH = ("fb_clean", "fb_dirty", "drapid_spe")
+BATCH = ("fb_clean", "drapid_spe")
 
 
 def run(workload, seed, trace):
@@ -65,7 +59,7 @@ def main():
         0: {m["name"]: m["unit"] for m in bench["end_to_end"]},
         1: {m["name"]: m["unit"] for m in bench["per_layer"]},
     }
-    for workload in [w["name"] for w in bench["workloads"]] + ["fb_dirty"]:
+    for workload in [w["name"] for w in bench["workloads"]]:
         for trace in (0, 1):
             result, report = run(workload, args.seed, trace)
             tag = "%s trace=%d" % (workload, trace)
