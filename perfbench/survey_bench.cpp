@@ -300,13 +300,14 @@ double block_percentile(const std::vector<double>& v, double p) {
   return per_block.empty() ? percentile(v, p) : median(per_block);
 }
 
-/// Batch workloads query their archive after the measured jobs, closed
+/// Batch workloads query their archive after every measured job, closed
 /// loop: this many distinct queries, run once on each of (up to four of) the
-/// CPUs the process may use, each query's latency its fastest run. Nothing else runs then, so a
-/// single pass would record the host's scheduling stalls and which CPU the
-/// thread landed on (runs differed by up to 1.7x on one virtual machine)
-/// rather than the archive.
-constexpr std::size_t kBatchQueries = 1000;
+/// CPUs the process may use, each query's latency its fastest run. Nothing
+/// else runs then, so a single pass would record the host's scheduling
+/// stalls and which CPU the thread landed on (runs differed by up to 1.7x on
+/// one virtual machine) rather than the archive. Spreading the batches over
+/// the run keeps one slow moment of the host from deciding its latency.
+constexpr std::size_t kBatchQueries = 256;
 
 struct QueryLoad {
   /// Historical observations only: the job's own keys collect candidates
@@ -351,6 +352,14 @@ struct QueryStats {
   double exec_s = 0.0;             ///< time inside archive.query
   double results = 0.0;
   std::size_t errors = 0;
+
+  void append(const QueryStats& o) {
+    latency_ms.insert(latency_ms.end(), o.latency_ms.begin(), o.latency_ms.end());
+    late_ms.insert(late_ms.end(), o.late_ms.begin(), o.late_ms.end());
+    exec_s += o.exec_s;
+    results += o.results;
+    errors += o.errors;
+  }
 };
 
 /// Waits until `due`: sleeps to within 200 us, then spins.
@@ -424,7 +433,7 @@ void run_closed_loop(const QueryLoad& load, Rng& rng,
     }
   }
   sched_setaffinity(0, sizeof allowed, &allowed);
-  stats.latency_ms = std::move(best);
+  stats.latency_ms.insert(stats.latency_ms.end(), best.begin(), best.end());
 }
 
 /// Brute-force oracle: every sealed record matching `q`, canonical order.
@@ -783,8 +792,8 @@ class Workload {
   /// queries its query thread issues during the job in `queries` (if set).
   virtual JobOut run_job(SpanTrace& trace, std::size_t threads,
                          QueryStats* queries) = 0;
-  /// Batch workloads issue their archive queries closed loop once the
-  /// measured jobs are done.
+  /// Batch workloads issue a closed-loop query batch after every measured
+  /// job (untimed).
   virtual void query_phase(QueryStats&) {}
   /// Checks one job's output.
   virtual void check_job(const JobOut& job, Checks& checks) = 0;
@@ -805,6 +814,8 @@ class Workload {
 class BatchWorkload : public Workload {
  public:
   void query_phase(QueryStats& stats) override {
+    // Let the job's pool threads go idle first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
     run_closed_loop(load_, query_rng_, *archive_, stats);
   }
 
@@ -1516,7 +1527,8 @@ std::unique_ptr<Workload> make_workload(const Options& opt) {
 struct RepSummary {
   std::vector<double> job_s;
   std::vector<JobOut> jobs;
-  QueryStats queries;       ///< every archive query of the measured jobs
+  QueryStats queries;          ///< every archive query of the measured jobs
+  std::vector<double> query_p50_ms;  ///< median latency of each job's queries
   std::vector<double> rss_mb;  ///< peak_rss_mb() of each job
 };
 
@@ -1525,11 +1537,11 @@ RepSummary measure(Workload& w, SpanTrace& trace, const Options& opt,
                    std::size_t& queries_attempted) {
   RepSummary r;
   // Warm-up jobs (untimed, outputs unchecked) for a quarter of the window:
-  // the first jobs after set-up pay page faults and allocator growth in the
-  // process and its workers that a running survey pays once.
-  // Every job starts from a trimmed heap (untimed): freed memory kept by the
-  // allocator made serve_mixed's per-job peak RSS jump between about 180 and
-  // 300 MB from job to job.
+  // the first jobs after set-up fork the process-backend workers and grow
+  // their heaps, which a running survey does once. Every job starts from a
+  // trimmed heap (untimed), so what earlier jobs left in the allocator does
+  // not decide a job's page faults and peak memory: without the trim,
+  // serve_mixed's per-job peak RSS jumped between about 180 and 300 MB.
   SpanTrace off;
   const auto warm = Clock::now();
   do {
@@ -1544,16 +1556,17 @@ RepSummary measure(Workload& w, SpanTrace& trace, const Options& opt,
     trace.set_job(static_cast<int>(rep));
     malloc_trim(0);
     reset_peak_rss();
-    JobOut out = w.run_job(trace, opt.threads, &r.queries);
+    QueryStats queries;
+    JobOut out = w.run_job(trace, opt.threads, &queries);
     r.rss_mb.push_back(peak_rss_mb());
+    w.query_phase(queries);
+    r.query_p50_ms.push_back(percentile(queries.latency_ms, 50));
+    r.queries.append(queries);
     r.job_s.push_back(out.job_s);
     r.jobs.push_back(std::move(out));
     ++rep;
     if (rep >= 200) break;
   }
-  // Let the job's pool threads go idle before a batch query phase.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  w.query_phase(r.queries);
   queries_attempted += r.queries.latency_ms.size();
   checks.failed += r.queries.errors;
   return r;
@@ -1670,7 +1683,7 @@ int run(const Options& opt) {
     metrics.set("spes_per_s", first.spes / job_s, "1/s");
     metrics.set("recall", median(recall), "frac");
     metrics.set("precision", median(precision), "frac");
-    metrics.set("query_p50_ms", block_percentile(reps.queries.latency_ms, 50), "ms");
+    metrics.set("query_p50_ms", median(reps.query_p50_ms), "ms");
   } else {
     // Traced repetitions: same job, spans on.
     SpanTrace trace;
