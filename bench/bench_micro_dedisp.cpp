@@ -80,7 +80,7 @@ const DmGrid& sweep_grid() {
 void BM_DmSweep(benchmark::State& state) {
   const auto fb = bench_filterbank(32);
   SinglePulseSearchParams params;
-  params.threads = static_cast<std::size_t>(state.range(0));
+  params.exec = ExecPolicy::local(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(single_pulse_search(fb, sweep_grid(), params));
   }
@@ -97,7 +97,7 @@ void BM_DmSweepSubband(benchmark::State& state) {
   const auto fb = bench_filterbank(32);
   SinglePulseSearchParams params;
   params.method = SweepMethod::kSubband;
-  params.threads = static_cast<std::size_t>(state.range(0));
+  params.exec = ExecPolicy::local(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(single_pulse_search(fb, sweep_grid(), params));
   }

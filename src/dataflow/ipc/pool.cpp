@@ -187,8 +187,8 @@ void child_handle_stage_begin(ChildState& st, const TaskFrame& frame) {
   st.stage = std::move(s);
 }
 
-/// Runs one assigned task: the PR 7 attempt loop (same fault-draw sites,
-/// same attempt/retry_cost accounting), then the kernel instead of the body.
+/// Runs one assigned task: the local backend's attempt loop (same fault-draw
+/// sites, same attempt/retry_cost accounting), then the stage's kernel.
 void child_handle_assign(ChildState& st, const TaskFrame& frame) {
   WireReader r(frame.payload);
   const std::size_t p = static_cast<std::size_t>(frame.partition);
@@ -592,7 +592,7 @@ struct WorkerPool::StageCtx {
   struct Task {
     std::size_t partition = 0;
     /// Attempts already charged by deaths of this task's worker slot; the
-    /// child's retry loop starts here (PR 7 accounting, verbatim).
+    /// child's retry loop starts here.
     std::size_t attempt_base = 0;
   };
 
@@ -1238,8 +1238,8 @@ void WorkerPool::run_pooled_stage(StageRun run) {
     for (auto& w : workers_) {
       if (!w.alive) continue;
       send_stage_begin(w);
-      // Planned kills draw at stage-local incarnation 0, the same site the
-      // fork-per-stage path uses; replacements (stage_deaths > 0) never die.
+      // Planned kills draw at stage-local incarnation 0; replacements
+      // (stage_deaths > 0) never die.
       die[w.slot] = engine_.faults_.kill_worker(stage.name, w.slot, 0);
     }
     for (std::size_t p = 0; p < ctx.ntasks; ++p) {

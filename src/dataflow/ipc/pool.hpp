@@ -1,11 +1,11 @@
 // Job-lifetime worker pool with partition-resident shuffles (PR 10).
 //
-// The fork-per-stage ProcessExecutor (PR 7) pays two taxes the paper's
-// cluster never would: a fork+teardown per stage, and a full ship-up of every
-// stage's output partitions to the coordinator. WorkerPool replaces both:
-// the pool forks its N workers once — lazily, inside the first pooled stage —
-// and drives them through a multi-stage dispatch protocol over the same
-// DRASPIPC framed sockets (wire.hpp kinds kStageBegin..kShutdown).
+// The process backend's workers: WorkerPool forks its N workers once —
+// lazily, inside the first pooled stage — and drives them through a
+// multi-stage dispatch protocol over DRASPIPC framed, checksummed sockets
+// (wire.hpp kinds kStageBegin..kShutdown). Task results come back as
+// kResult frames, body exceptions as kError frames that the coordinator
+// rethrows as the same exception type.
 //
 // What makes a persistent pool possible at all: a worker forked at job start
 // can only see parent state that existed at fork time, and stage closures are
@@ -28,16 +28,29 @@
 // push always arrives before the kStageEnd that follows it on the same
 // socket.
 //
-// Failure model: worker death (EOF / corrupt frame) charges one attempt to
-// each unfinished task it held — identical accounting to the fork-per-stage
-// path and to an injected task kill under the local backend — and a
-// replacement is forked at incarnation + 1. Partitions that were resident on
-// the dead worker are *not* re-shipped: the parent registry stores each set's
-// lineage (kernel, closure, and the chain-head input bytes), so a lost
-// partition is rebuilt on demand by re-running kernels in the parent. Lineage
-// rebuilds consume no fault draws and charge no attempts (they are the PR 1
-// recomputation path, not retries), which keeps attempt accounting equal to
-// the local backend's.
+// Failure model: worker death (EOF / corrupt frame — indistinguishable from
+// SIGKILL mid-write, and treated the same) charges one attempt to each
+// unfinished task it held — identical accounting to an injected task kill
+// under the local backend — and a replacement is forked at incarnation + 1.
+// FaultInjector::kill_worker only fires at a stage's first incarnation, so
+// planned kills always recover deterministically; a task whose budget is
+// exhausted fails the stage with the same TaskFailure the local backend
+// throws. Partitions that were resident on the dead worker are *not*
+// re-shipped: the parent registry stores each set's lineage (kernel,
+// closure, and the chain-head input bytes), so a lost partition is rebuilt
+// on demand by re-running kernels in the parent. Lineage rebuilds consume no
+// fault draws and charge no attempts (they are the PR 1 recomputation path,
+// not retries), which keeps attempt accounting equal to the local backend's.
+//
+// Fork hygiene the failure model depends on:
+//
+//   * Workers never touch the parent's thread pool (its threads do not exist
+//     after fork); kernels run inline on the worker's only thread.
+//   * Workers exit with _exit(), never exit(): running atexit handlers or
+//     flushing inherited stdio in a forked copy corrupts the parent's state.
+//   * A new worker closes every other worker's parent-side socket; an
+//     inherited duplicate would keep a dead sibling's socket open and mask
+//     the EOF that death detection relies on.
 #pragma once
 
 #include <sys/types.h>
@@ -111,7 +124,7 @@ class PoolRegistryCore {
   std::uint64_t next_id_ = 1;
 };
 
-/// The job-lifetime pool. One per ProcessExecutor in PoolMode::kJob.
+/// The job-lifetime pool. One per ProcessExecutor.
 class WorkerPool : public PoolResidency {
  public:
   WorkerPool(Engine& engine, std::size_t workers);

@@ -10,9 +10,9 @@
 // — so a worker SIGKILLed mid-write is indistinguishable from socket EOF
 // and recovers through the same retry path.
 //
-// The header also carries the task's TaskMetrics counters: bodies run in
-// the child, so the counters they mutate live in the child's copy-on-write
-// heap and must ride the wire back with the payload.
+// The header also carries the task's TaskMetrics counters: kernels run in
+// the worker, so the counters they fill live in the worker's heap and must
+// ride the wire back with the payload.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +44,7 @@ struct WireError : std::runtime_error {
 };
 
 enum class FrameKind : std::uint64_t {
-  kResult = 0,  ///< task completed; payload = StageIO::serialize output
+  kResult = 0,  ///< task completed; payload = resident size (narrow) or empty
   kError = 1,   ///< body threw; payload = exception message
 
   // Pool-mode frames (PR 10). The 14-word header layout is unchanged; any
@@ -118,9 +118,9 @@ DecodeStatus try_decode_frame(const char* data, std::size_t size,
                               TaskFrame& out, std::size_t& consumed);
 
 // ---------------------------------------------------------------------------
-// Value codecs: the vocabulary StageIO contracts are built from. Every
-// codec is an exact round-trip (decode(encode(x)) == x, byte for byte),
-// which is what makes process-backend stage outputs byte-identical to
+// Value codecs: the vocabulary pool kernels and frame payloads are built
+// from. Every codec is an exact round-trip (decode(encode(x)) == x, byte for
+// byte), which is what makes process-backend stage outputs byte-identical to
 // locally-computed ones.
 
 class WireWriter {

@@ -73,8 +73,8 @@ CachedStringRdd::CachedStringRdd(Engine& engine, StringRdd rdd,
     return;
   }
   spilled_ = true;
-  // Spill writes walk the partitions directly, and the spill stage runs
-  // without a StageIO contract (in-process on every backend) — pull any
+  // Spill writes walk the partitions directly, and the spill stage has no
+  // pool plan (it runs in-process on every backend) — pull any
   // worker-resident partitions back to the driver first.
   ensure_local(rdd);
   files_.resize(rdd.num_partitions());

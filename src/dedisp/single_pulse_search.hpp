@@ -19,6 +19,7 @@
 // the naive one-trial-at-a-time loop at any thread count.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -163,11 +164,9 @@ struct SinglePulseSearchParams {
   std::vector<int> boxcar_widths = {1, 2, 4, 8, 16, 32};
   /// Trial stride over the grid (1 = every trial; larger = faster scans).
   std::size_t dm_stride = 1;
-  /// Deprecated shim for exec: worker threads for the DM sweep (1 = run on
-  /// the calling thread). Ignored when exec.threads_per_worker is set.
-  std::size_t threads = 1;
-  /// Execution policy for the sweep; the DM sweep always runs in-process
-  /// (only its pool width applies), so only threads_per_worker matters here.
+  /// Execution policy for the sweep. The DM sweep always runs in-process,
+  /// so only threads_per_worker matters here: the sweep's pool width (1 =
+  /// run on the calling thread, the default).
   ExecPolicy exec;
   /// Dedispersion method. kExact stays the default (and the oracle);
   /// kSubband is the two-stage fast path with identical detected events.
@@ -187,10 +186,11 @@ struct SinglePulseSearchParams {
   /// tail-normalization counts.
   std::vector<std::uint8_t> channel_mask;
 
-  /// Pool width after the deprecation shim: exec.threads_per_worker if set,
-  /// else the legacy `threads` field. Sweep output is byte-identical at any
+  /// Pool width, with 0 treated as 1. Sweep output is byte-identical at any
   /// width.
-  std::size_t sweep_threads() const { return exec.resolve_threads(threads); }
+  std::size_t sweep_threads() const {
+    return std::max<std::size_t>(1, exec.threads_per_worker);
+  }
 };
 
 /// Reusable matched-filter workspace: boxcar prefix sums, the certificate
@@ -246,7 +246,7 @@ std::vector<SinglePulseEvent> merge_plan_events(
 
 /// The full phase-2+3 search: one shift-plan sweep over the (strided) grid.
 /// Duplicate shift vectors are dedispersed once, unique plans run on
-/// `params.threads` workers, and events are merged in trial order — output
+/// `params.sweep_threads()` workers, and events are merged in trial order — output
 /// is sorted by (dm, time) like the survey simulator's SPE lists, ready for
 /// DBSCAN + RAPID, and byte-identical to a per-trial loop at any thread
 /// count. Emits `dedisp.*` spans and counters through src/obs.

@@ -12,6 +12,8 @@
 // order after all folds complete.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -69,16 +71,16 @@ struct CvResult {
 using TrainTransform = std::function<Dataset(const Dataset&, Rng&)>;
 
 struct CvOptions {
-  /// Deprecated shim for exec: worker threads for fold evaluation; 1 =
-  /// serial. Ignored when exec.threads_per_worker is set.
-  std::size_t threads = 1;
-  /// Execution policy for fold evaluation; folds always run in-process, so
-  /// only threads_per_worker matters here.
+  /// Execution policy for fold evaluation. Folds always run in-process, so
+  /// only threads_per_worker matters here: the fold pool width (1 = serial,
+  /// the default).
   ExecPolicy exec;
 
-  /// Pool width after the deprecation shim. Any value yields byte-identical
+  /// Pool width, with 0 treated as 1. Any value yields byte-identical
   /// results.
-  std::size_t fold_threads() const { return exec.resolve_threads(threads); }
+  std::size_t fold_threads() const {
+    return std::max<std::size_t>(1, exec.threads_per_worker);
+  }
 };
 
 /// Runs k-fold CV with a fresh classifier per fold from `factory`; fold

@@ -38,11 +38,11 @@ struct StageReport {
   std::uint64_t fastpath_completions = 0;
   /// Process-backend activity (all zero on the local backend or when the
   /// stage ran in-process): forked workers (replacements included), workers
-  /// that died mid-stage, and result-frame bytes shipped over the sockets.
+  /// that died mid-stage, and frame bytes that crossed the sockets.
   std::uint64_t workers_used = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t ipc_bytes = 0;
-  /// Job-lifetime pool activity (all zero under fork-per-stage or local):
+  /// Job-lifetime pool activity (all zero on the local backend):
   /// tasks served by an already-forked worker, bytes of output partitions
   /// left resident in workers, and replacement workers forked after deaths.
   std::uint64_t pool_reuses = 0;

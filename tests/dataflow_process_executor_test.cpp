@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -18,7 +19,9 @@
 
 #include "dataflow/block_store.hpp"
 #include "dataflow/rdd.hpp"
+#include "dedisp/single_pulse_search.hpp"
 #include "drapid/pipeline.hpp"
+#include "ml/cross_validation.hpp"
 #include "obs/counters.hpp"
 #include "util/exec_policy.hpp"
 
@@ -45,13 +48,6 @@ EngineConfig base_config() {
 EngineConfig process_config(std::size_t workers) {
   EngineConfig cfg = base_config();
   cfg.exec = ExecPolicy::process(workers, 2);
-  return cfg;
-}
-
-// PR 7's fork-per-stage path, kept as the comparison oracle for the pool.
-EngineConfig stage_config(std::size_t workers) {
-  EngineConfig cfg = base_config();
-  cfg.exec = ExecPolicy::process(workers, 2, PoolMode::kStage);
   return cfg;
 }
 
@@ -133,7 +129,7 @@ TEST(ProcessExecutor, ShufflePipelineMatchesLocalByteForByte) {
   const auto actual = run_pipeline(process);
   ASSERT_EQ(actual.size(), expected.size());
   EXPECT_EQ(actual, expected);
-  // The process run really went over the wire: stages with codecs report
+  // The process run really went over the wire: pooled stages report
   // forked workers and shipped bytes.
   std::size_t staged_ipc = 0, staged_workers = 0;
   for (const auto& stage : process.metrics().stages) {
@@ -235,28 +231,34 @@ TEST(ProcessExecutor, RepeatedDeathsExhaustTheAttemptBudget) {
 TEST(ProcessExecutor, ChildExceptionsPropagateToTheParent) {
   DRAPID_REQUIRE_FORK();
   Engine engine(process_config(2));
-  auto& stage = engine.begin_stage("buggy", 4);
-  std::vector<std::vector<int>> sink(4);
-  StageIO io;
-  io.serialize = [](std::size_t) { return std::string(); };
-  io.absorb = [&sink](std::size_t p, const std::string&) { sink[p].clear(); };
+  const auto rdd = parallelize(engine, make_pairs(100), 8);
   try {
-    engine.run_stage(stage,
-                     [](TaskContext& ctx) {
-                       if (ctx.partition() == 2) {
-                         throw std::runtime_error("boom in child");
-                       }
-                     },
-                     io);
-    FAIL() << "the child's exception must cross the socket";
+    // Captureless, so the stage ships to the pool and the lambda runs in a
+    // worker process; its exception can only reach the parent as a kError
+    // frame.
+    map_pairs(
+        engine, rdd,
+        [](const std::pair<std::string, std::string>& kv) {
+          if (kv.first == "key42") {
+            throw std::runtime_error("boom in worker for " + kv.first);
+          }
+          return kv;
+        },
+        "buggy");
+    FAIL() << "the worker's exception must cross the socket";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom in child"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("boom in worker for key42"),
+              std::string::npos);
   }
+  const StageMetrics& stage = engine.metrics().stages.back();
+  EXPECT_EQ(stage.name, "buggy");
+  EXPECT_GT(stage.ipc_bytes, 0u) << "the stage must have run on the pool";
+  EXPECT_GT(stage.workers_used, 0u);
 }
 
-TEST(ProcessExecutor, StagesWithoutCodecsRunInProcess) {
+TEST(ProcessExecutor, StagesWithoutAPlanRunInProcess) {
   DRAPID_REQUIRE_FORK();
-  // Spill and cache stages have no StageIO; they must keep running in the
+  // Spill and cache stages have no pool plan; they must keep running in the
   // parent (side effects visible, no forks) even on the process backend.
   Engine engine(process_config(2));
   auto& stage = engine.begin_stage("inproc", 4);
@@ -270,30 +272,18 @@ TEST(ProcessExecutor, StagesWithoutCodecsRunInProcess) {
 
 // ----------------------------------------------------- job-lifetime pool
 
-TEST(WorkerPoolMode, JobAndStagePoolsMatchLocalByteForByte) {
+TEST(WorkerPoolMode, JobPoolMatchesLocalByteForByte) {
   DRAPID_REQUIRE_FORK();
   // Large enough that data bytes dominate the pool's fixed control-frame
-  // overhead: fork-per-stage ships every stage's full output back, the pool
-  // ships the source in once, shuffles, and fetches only the final collect.
+  // overhead: the pool ships the source in once, shuffles, and fetches only
+  // the final collect.
   const std::size_t kPairs = 6000;
   Engine local(local_config());
   const auto expected = run_pipeline(local, kPairs);
 
-  Engine staged(stage_config(2));
-  const auto stage_out = run_pipeline(staged, kPairs);
-  EXPECT_EQ(stage_out, expected);
-
   Engine pooled(process_config(2));
   const auto job_out = run_pipeline(pooled, kPairs);
   EXPECT_EQ(job_out, expected);
-
-  // The whole point of the pool: results stay resident in the workers, so
-  // far fewer bytes cross the sockets than under fork-per-stage.
-  const std::size_t stage_ipc = staged.metrics().total_ipc_bytes();
-  const std::size_t job_ipc = pooled.metrics().total_ipc_bytes();
-  EXPECT_GT(stage_ipc, 0u);
-  EXPECT_GT(job_ipc, 0u);
-  EXPECT_LT(job_ipc, stage_ipc);
 
   std::size_t reuses = 0, resident = 0;
   for (const auto& s : pooled.metrics().stages) {
@@ -302,9 +292,20 @@ TEST(WorkerPoolMode, JobAndStagePoolsMatchLocalByteForByte) {
   }
   EXPECT_GT(reuses, 0u) << "later stages must reuse the forked workers";
   EXPECT_GT(resident, 0u) << "outputs must stay worker-resident";
-  for (const auto& s : staged.metrics().stages) {
-    EXPECT_EQ(s.pool_reuses, 0u) << s.name;
-    EXPECT_EQ(s.resident_bytes, 0u) << s.name;
+
+  // The whole point of the pool: results stay resident in the workers.
+  // partition_by moves the records themselves; every stage after it finds
+  // its input already in place and sends task descriptors, not records.
+  const auto& stages = pooled.metrics().stages;
+  const auto shuffle = std::find_if(
+      stages.begin(), stages.end(),
+      [](const StageMetrics& s) { return s.name == "partition_by"; });
+  ASSERT_NE(shuffle, stages.end());
+  ASSERT_GT(shuffle->ipc_bytes, 0u);
+  ASSERT_NE(std::next(shuffle), stages.end());
+  for (auto it = std::next(shuffle); it != stages.end(); ++it) {
+    EXPECT_LT(it->ipc_bytes * 4, shuffle->ipc_bytes)
+        << it->name << " must not ship its records";
   }
 }
 
@@ -367,16 +368,15 @@ TEST(FaultInjectorKillWorker, FiresOncePerStagePrefixAndWorker) {
       << "replacement incarnations must survive or recovery livelocks";
 }
 
-// --------------------------------------------------------- ExecPolicy shims
+// ----------------------------------------------------------- ExecPolicy
 
-TEST(ExecPolicy, ShimsPreferNewKnobsOverLegacy) {
-  ExecPolicy policy;  // defaults: local backend, unset widths
+TEST(ExecPolicy, ParsesBackendsAndResolvesWorkers) {
+  ExecPolicy policy;  // defaults: local backend, unset worker count
   EXPECT_EQ(policy.backend, ExecBackend::kLocal);
-  EXPECT_EQ(policy.resolve_threads(3), 3u);  // legacy wins when unset
   EXPECT_EQ(policy.resolve_workers(5), 5u);
   policy = ExecPolicy::process(4, 2);
   EXPECT_EQ(policy.backend, ExecBackend::kProcess);
-  EXPECT_EQ(policy.resolve_threads(8), 2u);  // new knob wins
+  EXPECT_EQ(policy.threads_per_worker, 2u);
   EXPECT_EQ(policy.resolve_workers(8), 4u);
   EXPECT_EQ(parse_exec_backend("local"), ExecBackend::kLocal);
   EXPECT_EQ(parse_exec_backend("process"), ExecBackend::kProcess);
@@ -384,13 +384,21 @@ TEST(ExecPolicy, ShimsPreferNewKnobsOverLegacy) {
   EXPECT_EQ(std::string(exec_backend_name(ExecBackend::kProcess)), "process");
 }
 
-TEST(ExecPolicy, PoolModeParsesAndDefaultsToJob) {
-  EXPECT_EQ(ExecPolicy::process(2, 1).pool, PoolMode::kJob);
-  EXPECT_EQ(parse_pool_mode("job"), PoolMode::kJob);
-  EXPECT_EQ(parse_pool_mode("stage"), PoolMode::kStage);
-  EXPECT_THROW(parse_pool_mode("forever"), std::runtime_error);
-  EXPECT_EQ(std::string(pool_mode_name(PoolMode::kJob)), "job");
-  EXPECT_EQ(std::string(pool_mode_name(PoolMode::kStage)), "stage");
+// Callers that never set `exec` keep the widths the pre-ExecPolicy knobs
+// defaulted to: a 4-thread engine pool, a serial sweep and serial CV folds.
+TEST(ExecPolicy, DefaultWidthsMatchTheRetiredKnobs) {
+  Engine engine(EngineConfig{});
+  EXPECT_EQ(engine.pool().thread_count(), 4u);
+  EXPECT_EQ(SinglePulseSearchParams{}.sweep_threads(), 1u);
+  EXPECT_EQ(ml::CvOptions{}.fold_threads(), 1u);
+  // A zero width is clamped to one where it is consumed.
+  EngineConfig zero;
+  zero.exec = ExecPolicy::local(0);
+  EXPECT_EQ(Engine(zero).pool().thread_count(), 1u);
+  SinglePulseSearchParams sweep;
+  sweep.exec = ExecPolicy::local(0);
+  EXPECT_EQ(sweep.sweep_threads(), 1u);
+  EXPECT_EQ(ml::CvOptions{ExecPolicy::local(0)}.fold_threads(), 1u);
 }
 
 // ------------------------------------------------- end-to-end acceptance

@@ -52,7 +52,7 @@ std::vector<SinglePulseEvent> run(const Filterbank& fb, const DmGrid& grid,
   SinglePulseSearchParams params;
   params.method = method;
   params.subband_groups = groups;
-  params.threads = threads;
+  params.exec = ExecPolicy::local(threads);
   return single_pulse_search(fb, grid, params);
 }
 
