@@ -61,10 +61,11 @@ struct PoolTaskCtx {
   std::size_t num_targets = 0;
 };
 
-/// A pooled stage kernel: consumes the ctx inputs, fills ctx.metrics exactly
-/// as the local body would, and returns the serialized output — one
-/// encode_payload for narrow stages, a per-target segment bundle (see
-/// dataflow/ipc/pool.hpp) for wide ones.
+/// A pooled stage kernel: decodes the ctx inputs, calls the same
+/// per-partition function the stage's local body calls (which alone fills
+/// ctx.metrics), and returns the serialized output — one encode_payload for
+/// narrow stages, a per-target segment bundle (see dataflow/ipc/pool.hpp)
+/// for wide ones.
 using PoolKernelFn = std::string (*)(const PoolTaskCtx&);
 
 /// Reconstructs a trivially-copyable closure object from its shipped bytes.
@@ -104,8 +105,9 @@ struct PoolSet {
 /// (collect() on a resident Rdd), as long as the producing engine is alive.
 std::string pool_fetch(const std::shared_ptr<PoolSet>& set,
                        std::size_t partition);
-/// Total resident payload bytes of the set (estimate for memory budgeting).
-std::size_t pool_set_bytes(const std::shared_ptr<PoolSet>& set);
+/// The set's byte_size estimate (Rdd::estimated_bytes): the sum of the
+/// bytes_out its producing tasks reported.
+std::size_t pool_set_estimated_bytes(const std::shared_ptr<PoolSet>& set);
 /// Records-out count of one partition as reported by the producing task.
 std::size_t pool_set_records(const std::shared_ptr<PoolSet>& set,
                              std::size_t partition);

@@ -478,9 +478,9 @@ std::string pool_fetch(const std::shared_ptr<PoolSet>& set,
   return core->fetch(set->id, partition);
 }
 
-std::size_t pool_set_bytes(const std::shared_ptr<PoolSet>& set) {
+std::size_t pool_set_estimated_bytes(const std::shared_ptr<PoolSet>& set) {
   auto core = set ? set->core.lock() : nullptr;
-  return core ? core->set_bytes(set->id) : 0;
+  return core ? core->estimated_bytes(set->id) : 0;
 }
 
 std::size_t pool_set_records(const std::shared_ptr<PoolSet>& set,
@@ -523,7 +523,6 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
     return in.set != 0 ? fetch(in.set, in.partition) : in.bytes;
   };
   TaskMetrics scratch;  // lineage rebuilds charge no attempts, draw no faults
-  std::string built;
   if (s.kind == PoolStagePlan::Kind::kNarrow) {
     const auto& refs = s.task_inputs.at(partition);
     std::vector<std::string> held;
@@ -534,42 +533,56 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
     ctx.closure = &s.closure;
     for (const auto& h : held) ctx.inputs.push_back(&h);
     ctx.metrics = &scratch;
-    built = s.kernel(ctx);
-  } else {
-    // Wide target: re-run every source's routing kernel and take segment
-    // `partition` from each bundle, concatenated in source order — the same
-    // layout the owning worker would have assembled.
-    std::uint64_t total = 0;
-    built.assign(sizeof(std::uint64_t), '\0');
-    for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
-      const auto& refs = s.task_inputs.at(src);
-      const std::string bytes = input_bytes(refs.at(0));
-      PoolTaskCtx ctx;
-      ctx.partition = src;
-      ctx.closure = &s.closure;
-      ctx.inputs.push_back(&bytes);
-      ctx.metrics = &scratch;
-      ctx.num_targets = s.parts.size();
-      const std::string bundle = s.kernel(ctx);
-      const std::vector<BundleSeg> segs = parse_bundle(bundle);
-      const BundleSeg& seg = segs.at(partition);
-      total += seg.count;
-      built.append(seg.data, seg.size);
-    }
-    std::memcpy(built.data(), &total, sizeof(total));
-    part.records = static_cast<std::size_t>(total);
+    part.parent_bytes = s.kernel(ctx);
+    part.bytes = part.parent_bytes.size();
+    return part.parent_bytes;
   }
-  part.parent_bytes = std::move(built);
-  part.bytes = part.parent_bytes.size();
+  // Wide target: re-run every source's routing kernel and concatenate the
+  // target's segments in source order — the same layout the owning worker
+  // would have assembled. A dead worker loses many targets of the set at
+  // once, so every lost target is assembled from the same pass rather than
+  // re-routing every source once per target.
+  std::vector<std::size_t> lost{partition};
+  for (std::size_t t = 0; t < s.parts.size(); ++t) {
+    const pooldetail::PartState& other = s.parts[t];
+    if (t != partition && other.owner == pooldetail::PartState::kNone &&
+        other.parent_bytes.empty()) {
+      lost.push_back(t);
+    }
+  }
+  std::vector<std::string> targets(lost.size(),
+                                   std::string(sizeof(std::uint64_t), '\0'));
+  std::vector<std::uint64_t> totals(lost.size(), 0);
+  for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
+    const auto& refs = s.task_inputs.at(src);
+    const std::string bytes = input_bytes(refs.at(0));
+    PoolTaskCtx ctx;
+    ctx.partition = src;
+    ctx.closure = &s.closure;
+    ctx.inputs.push_back(&bytes);
+    ctx.metrics = &scratch;
+    ctx.num_targets = s.parts.size();
+    const std::string bundle = s.kernel(ctx);
+    const std::vector<BundleSeg> segs = parse_bundle(bundle);
+    for (std::size_t i = 0; i < lost.size(); ++i) {
+      const BundleSeg& seg = segs.at(lost[i]);
+      totals[i] += seg.count;
+      targets[i].append(seg.data, seg.size);
+    }
+  }
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    pooldetail::PartState& target = s.parts[lost[i]];
+    std::memcpy(targets[i].data(), &totals[i], sizeof(totals[i]));
+    target.records = static_cast<std::size_t>(totals[i]);
+    target.parent_bytes = std::move(targets[i]);
+    target.bytes = target.parent_bytes.size();
+  }
   return part.parent_bytes;
 }
 
-std::size_t PoolRegistryCore::set_bytes(std::uint64_t set) const {
+std::size_t PoolRegistryCore::estimated_bytes(std::uint64_t set) const {
   const auto it = sets_.find(set);
-  if (it == sets_.end()) return 0;
-  std::size_t total = 0;
-  for (const auto& part : it->second.parts) total += part.bytes;
-  return total;
+  return it == sets_.end() ? 0 : it->second.estimated_bytes;
 }
 
 std::size_t PoolRegistryCore::set_records(std::uint64_t set,
@@ -1280,6 +1293,7 @@ void WorkerPool::run_pooled_stage(StageRun run) {
   std::size_t resident = 0;
   for (const auto& part : out.parts) resident += part.bytes;
   stage.resident_bytes += resident;
+  for (const auto& task : stage.tasks) out.estimated_bytes += task.bytes_out;
 
   auto handle = std::make_shared<PoolSet>();
   handle->id = ctx.out_set;

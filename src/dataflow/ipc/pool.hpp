@@ -99,6 +99,7 @@ struct SetState {
   std::size_t num_targets = 0;  ///< wide only
   std::vector<std::vector<StoredInput>> task_inputs;  ///< per task / source
   std::vector<PartState> parts;
+  std::size_t estimated_bytes = 0;  ///< sum of the producers' bytes_out
 };
 
 }  // namespace pooldetail
@@ -110,7 +111,7 @@ class PoolRegistryCore {
  public:
   /// Fetches partition bytes: parent copy, live worker, or lineage rebuild.
   std::string fetch(std::uint64_t set, std::size_t partition);
-  std::size_t set_bytes(std::uint64_t set) const;
+  std::size_t estimated_bytes(std::uint64_t set) const;
   std::size_t set_records(std::uint64_t set, std::size_t partition) const;
   /// Drops a set (from a PoolSet destructor); notifies workers.
   void release(std::uint64_t set);

@@ -161,17 +161,9 @@ struct Rdd {
     return total;
   }
   std::size_t estimated_bytes() const {
-    // Resident sets are decoded to run the exact same byte_size estimator
-    // the local backend uses: this number feeds cache/spill decisions that
-    // must not diverge between backends.
-    if (resident) {
-      std::size_t total = 0;
-      for (std::size_t p = 0; p < partitions.size(); ++p) {
-        const auto part = ipc::decode_payload<Pair>(pool_fetch(resident, p));
-        for (const auto& kv : part) total += byte_size(kv);
-      }
-      return total;
-    }
+    // The tasks that produced a resident set reported this same byte_size
+    // estimate as their bytes_out, so nothing is fetched from the workers.
+    if (resident) return pool_set_estimated_bytes(resident);
     std::size_t total = 0;
     for (const auto& p : partitions) {
       for (const auto& kv : p) total += byte_size(kv);
@@ -248,29 +240,259 @@ void record_output(TaskMetrics& task,
   for (const auto& kv : part) task.bytes_out += byte_size(kv);
 }
 
-// --- Pooled stage kernels (PR 10) -------------------------------------------
+// --- Per-partition functions -------------------------------------------------
 //
-// Under the job-pool process backend a stage cannot ship its body closure to
-// the workers (they forked before it existed), so each transformation also
-// compiles a *kernel*: a plain function that decodes its serialized inputs,
-// applies the trivially-copyable closure bytes from the ctx, and returns the
-// serialized output. Kernels travel by function pointer — parent and child
-// are the same binary — and MUST fill TaskMetrics with exactly the numbers
-// the local body records: the backends' stage reports are compared
-// byte-for-byte in tests. Every kernel here mirrors its body line by line.
+// Each transformation's per-partition work, together with the TaskMetrics it
+// records, is written exactly once as a plain function
+// `out part(spec, input_partition, task)`. The local backend calls it on the
+// in-memory partition. The job-pool backend calls the same function inside a
+// worker through a kernel that only rebuilds the spec from its shipped bytes,
+// decodes the input and encodes the output. Both backends therefore report
+// the same numbers by construction; dataflow_process_executor_test compares
+// their per-task metrics stage by stage.
 
-/// Returns `in` untouched when its partitions are locally materialized, or
-/// decodes every resident partition into `storage` and returns that. Local
-/// fallback paths read through this so bodies always see real vectors even
-/// when an upstream pooled stage left its output worker-resident.
+template <typename Fn, typename K, typename V>
+auto map_pairs_part(const Fn& fn, const std::vector<std::pair<K, V>>& part,
+                    TaskMetrics& task) {
+  record_input(task, part);
+  std::vector<std::invoke_result_t<const Fn&, const std::pair<K, V>&>> out;
+  out.reserve(part.size());
+  for (const auto& kv : part) out.push_back(fn(kv));
+  record_output(task, out);
+  return out;
+}
+
+template <typename Fn, typename K, typename V>
+auto map_values_part(const Fn& fn, const std::vector<std::pair<K, V>>& part,
+                     TaskMetrics& task) {
+  record_input(task, part);
+  std::vector<std::pair<K, std::invoke_result_t<const Fn&, const V&>>> out;
+  out.reserve(part.size());
+  for (const auto& kv : part) out.emplace_back(kv.first, fn(kv.second));
+  record_output(task, out);
+  return out;
+}
+
+template <typename Pred, typename K, typename V>
+auto filter_part(const Pred& pred, const std::vector<std::pair<K, V>>& part,
+                 TaskMetrics& task) {
+  record_input(task, part);
+  std::vector<std::pair<K, V>> out;
+  for (const auto& kv : part) {
+    if (pred(kv)) out.push_back(kv);
+  }
+  record_output(task, out);
+  return out;
+}
+
+template <typename Fn, typename K, typename V>
+auto flat_map_part(const Fn& fn, const std::vector<std::pair<K, V>>& part,
+                   TaskMetrics& task) {
+  using OutVec =
+      std::invoke_result_t<const Fn&, const K&, const V&, std::size_t&>;
+  record_input(task, part);
+  task.compute_cost = 0;  // reported by fn instead of records_in
+  std::vector<typename OutVec::value_type> out;
+  for (const auto& kv : part) {
+    std::size_t cost = 0;
+    auto produced = fn(kv.first, kv.second, cost);
+    task.compute_cost += cost;
+    for (auto& item : produced) out.push_back(std::move(item));
+  }
+  record_output(task, out);
+  return out;
+}
+
+/// Map-side combine spec: the fold plus the accumulator every key starts at.
+template <typename Agg, typename Fold>
+struct CombineSpec {
+  Agg init;
+  Fold fold;
+  const Agg& initial() const { return init; }
+};
+
+/// Combine spec for accumulators that cannot ship as bytes (e.g.
+/// std::string) but start default-constructed: only the fold ships, and
+/// each key starts at `Agg{}`.
+template <typename Agg, typename Fold>
+struct DefaultCombineSpec {
+  Fold fold;
+  Agg initial() const { return Agg{}; }
+};
+
+template <typename Spec, typename K, typename V>
+auto combine_part(const Spec& spec, const std::vector<std::pair<K, V>>& part,
+                  TaskMetrics& task) {
+  record_input(task, part);
+  task.compute_cost = task.records_in / 4;  // hash-fold per record
+  // Accumulators live densely in the flat map in first-encounter order — a
+  // pure function of the partition's record sequence, so the emitted layout
+  // is identical across thread counts and hash-table capacities.
+  FlatHashMap<K, std::decay_t<decltype(spec.initial())>> local;
+  local.reserve(part.size());
+  for (const auto& kv : part) {
+    auto [entry, inserted] = local.try_emplace(kv.first, spec.initial());
+    spec.fold(entry->second, kv.second);
+  }
+  auto out = local.take_entries();
+  record_output(task, out);
+  return out;
+}
+
+/// Consumes `part`: accumulators are moved into the merged output.
+template <typename Merge, typename K, typename Agg>
+auto merge_part(const Merge& merge, std::vector<std::pair<K, Agg>>& part,
+                TaskMetrics& task) {
+  record_input(task, part);
+  task.compute_cost = task.records_in / 4;  // hash-merge per record
+  FlatHashMap<K, Agg> local;
+  local.reserve(part.size());
+  for (auto& kv : part) {
+    auto [entry, inserted] = local.try_emplace(kv.first, std::move(kv.second));
+    if (!inserted) merge(entry->second, std::move(kv.second));
+  }
+  auto out = local.take_entries();
+  record_output(task, out);
+  return out;
+}
+
+template <typename K, typename V, typename W>
+auto join_part(const std::vector<std::pair<K, V>>& lhs,
+               const std::vector<std::pair<K, W>>& rhs, TaskMetrics& task) {
+  record_input(task, lhs);
+  // Build side: duplicate right keys keep partition order in the chain, so
+  // matches are emitted deterministically per left record.
+  FlatHashMultiMap<K, const W*> index;
+  index.reserve(rhs.size());
+  for (const auto& kv : rhs) {
+    index.emplace(kv.first, &kv.second);
+    task.bytes_in += byte_size(kv);
+  }
+  task.records_in += rhs.size();
+  std::vector<std::pair<K, std::pair<V, std::optional<W>>>> out;
+  // Exact when right keys are unique, a lower bound otherwise.
+  out.reserve(lhs.size());
+  for (const auto& kv : lhs) {
+    const bool matched = index.for_each(kv.first, [&](const W* w) {
+      out.emplace_back(std::piecewise_construct,
+                       std::forward_as_tuple(kv.first),
+                       std::forward_as_tuple(kv.second, *w));
+    });
+    if (!matched) {
+      out.emplace_back(std::piecewise_construct,
+                       std::forward_as_tuple(kv.first),
+                       std::forward_as_tuple(kv.second, std::nullopt));
+    }
+  }
+  record_output(task, out);
+  return out;
+}
+
+/// Trivially-copyable spec of the wide shuffle.
+struct WideSpec {
+  HashPartitioner part;
+  std::uint64_t executors = 1;
+};
+
+/// Routes source partition p of a shuffle: returns each record's target
+/// partition in record order and adds the per-target record counts to
+/// `counts`. Bytes that land on a different modeled executor than they
+/// started on count as shuffle traffic (partition p lives on executor
+/// p mod executors).
 template <typename K, typename V>
-const Rdd<K, V>& localized(const Rdd<K, V>& in, Rdd<K, V>& storage) {
+std::vector<std::uint32_t> route_part(
+    const WideSpec& spec, const std::vector<std::pair<K, V>>& records,
+    std::size_t p, std::vector<std::size_t>& counts, TaskMetrics& task) {
+  task.records_in = records.size();
+  // Bucketing is a hash + copy per record — far cheaper than a parse or
+  // search step; the bytes cost is paid at the network term.
+  task.compute_cost = task.records_in / 4;
+  std::vector<std::uint32_t> target_of(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t target = spec.part.of(records[i].first);
+    target_of[i] = static_cast<std::uint32_t>(target);
+    ++counts[target];
+    // One byte_size walk, shared by the input and shuffle byte counts.
+    const std::size_t bytes = byte_size(records[i]);
+    task.bytes_in += bytes;
+    if (target % spec.executors != p % spec.executors) {
+      task.shuffle_bytes += bytes;
+    }
+  }
+  task.records_out = task.records_in;
+  task.bytes_out = task.bytes_in;
+  return target_of;
+}
+
+// --- Pool kernels ------------------------------------------------------------
+//
+// A job-pool worker forked before a stage existed cannot run its body
+// closure, so a pooled stage ships a kernel by function pointer (parent and
+// child are the same binary) and its spec as bytes. Kernels only translate
+// between bytes and a part function's arguments and result.
+
+/// The kernel of every single-input narrow stage.
+template <typename Spec, typename InPair, auto Part>
+std::string narrow_kernel(const PoolTaskCtx& ctx) {
+  std::aligned_storage_t<sizeof(Spec), alignof(Spec)> storage;
+  const Spec& spec = pool_closure_cast<Spec>(*ctx.closure, storage);
+  auto input = ipc::decode_payload<InPair>(*ctx.inputs.at(0));
+  return ipc::encode_payload(Part(spec, input, *ctx.metrics));
+}
+
+/// Join kernel: inputs.at(0) = left partition p, inputs.at(1) = right
+/// partition p (both already conforming to the join partitioner). Stateless
+/// — the plan ships an empty closure.
+template <typename K, typename V, typename W>
+std::string join_kernel(const PoolTaskCtx& ctx) {
+  return ipc::encode_payload(
+      join_part(ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0)),
+                ipc::decode_payload<std::pair<K, W>>(*ctx.inputs.at(1)),
+                *ctx.metrics));
+}
+
+/// Wide kernel: routes source partition ctx.partition into per-target
+/// segments (the bundle format of dataflow/ipc/pool.hpp). The worker keeps
+/// its own slot's segments and pushes the rest; record bytes never pass
+/// through the coordinator.
+template <typename K, typename V>
+std::string partition_by_kernel(const PoolTaskCtx& ctx) {
+  std::aligned_storage_t<sizeof(WideSpec), alignof(WideSpec)> storage;
+  const WideSpec& spec = pool_closure_cast<WideSpec>(*ctx.closure, storage);
+  const auto records =
+      ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
+  const std::size_t targets = ctx.num_targets;
+  std::vector<std::size_t> counts(targets, 0);
+  const auto target_of =
+      route_part(spec, records, ctx.partition, counts, *ctx.metrics);
+  std::vector<ipc::WireWriter> segs(targets);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ipc::encode_value(segs[target_of[i]], records[i]);
+  }
+  ipc::WireWriter bundle;
+  bundle.put_u64(targets);
+  for (std::size_t t = 0; t < targets; ++t) {
+    bundle.put_u64(counts[t]);
+    bundle.put_u64(segs[t].buffer().size());
+    bundle.put_bytes(segs[t].buffer().data(), segs[t].buffer().size());
+  }
+  return bundle.take();
+}
+
+// --- Stage dispatch ----------------------------------------------------------
+
+/// Returns `in` when its partitions are locally materialized, or decodes
+/// every resident partition into `storage` and returns that. Local paths read
+/// through this so part functions always see real vectors, even when an
+/// upstream pooled stage left its output worker-resident.
+template <typename R>
+R& localized(R& in, std::remove_const_t<R>& storage) {
   if (!in.resident) return in;
   storage.partitions.resize(in.num_partitions());
   storage.partitioner_id = in.partitioner_id;
   for (std::size_t p = 0; p < in.num_partitions(); ++p) {
     storage.partitions[p] =
-        ipc::decode_payload<std::pair<K, V>>(pool_fetch(in.resident, p));
+        ipc::decode_payload<typename R::Pair>(pool_fetch(in.resident, p));
   }
   return storage;
 }
@@ -311,119 +533,39 @@ inline std::function<void(TaskContext&)> unpooled_body() {
   };
 }
 
-template <typename K, typename V, typename OutPair, typename Fn>
-std::string map_pairs_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fn), alignof(Fn)> storage;
-  const Fn& fn = pool_closure_cast<Fn>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  std::vector<OutPair> out;
-  out.reserve(part.size());
-  for (const auto& kv : part) out.push_back(fn(kv));
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-template <typename K, typename V, typename V2, typename Fn>
-std::string map_values_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fn), alignof(Fn)> storage;
-  const Fn& fn = pool_closure_cast<Fn>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  std::vector<std::pair<K, V2>> out;
-  out.reserve(part.size());
-  for (const auto& kv : part) out.emplace_back(kv.first, fn(kv.second));
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-template <typename K, typename V, typename Pred>
-std::string filter_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Pred), alignof(Pred)> storage;
-  const Pred& pred = pool_closure_cast<Pred>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  std::vector<std::pair<K, V>> out;
-  for (const auto& kv : part) {
-    if (pred(kv)) out.push_back(kv);
-  }
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-template <typename K, typename V, typename OutPair, typename Fn>
-std::string flat_map_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fn), alignof(Fn)> storage;
-  const Fn& fn = pool_closure_cast<Fn>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = 0;  // reported by fn instead of records_in
-  std::vector<OutPair> out;
-  for (const auto& kv : part) {
-    std::size_t cost = 0;
-    auto produced = fn(kv.first, kv.second, cost);
-    task.compute_cost += cost;
-    for (auto& item : produced) out.push_back(std::move(item));
-  }
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-/// Trivially-copyable closure of the wide shuffle kernel.
-struct WideSpec {
-  HashPartitioner part;
-  std::uint64_t executors = 1;
-};
-
-/// Wide kernel: routes each record of source partition ctx.partition into
-/// per-target segments (the bundle format of dataflow/ipc/pool.hpp). The
-/// worker keeps its own slot's segments and pushes the rest; record bytes
-/// never pass through the coordinator.
-template <typename K, typename V>
-std::string partition_by_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(WideSpec), alignof(WideSpec)> storage;
-  const WideSpec& spec = pool_closure_cast<WideSpec>(*ctx.closure, storage);
-  const auto records =
-      ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  const std::size_t p = ctx.partition;
-  const std::size_t targets = ctx.num_targets;
-  task.records_in = records.size();
-  task.compute_cost = task.records_in / 4;
-  std::vector<ipc::WireWriter> segs(targets);
-  std::vector<std::uint64_t> counts(targets, 0);
-  for (const auto& kv : records) {
-    const std::size_t target = spec.part.of(kv.first);
-    const std::size_t bytes = byte_size(kv);
-    task.bytes_in += bytes;
-    if (target % spec.executors != p % spec.executors) {
-      task.shuffle_bytes += bytes;
+/// Runs the narrow stage `name`: one Part(spec, partition, task) call per
+/// partition of `in`. The stage runs on the worker pool when the engine has
+/// one and `spec` ships as bytes (trivially copyable), in-process otherwise.
+/// A non-const `in` lets Part consume its input partitions.
+template <auto Part, typename Spec, typename InRdd>
+auto run_narrow(Engine& engine, const std::string& name, InRdd& in,
+                const Spec& spec, std::uint64_t partitioner_id) {
+  using OutVec = decltype(Part(spec, in.partitions[0],
+                               std::declval<TaskMetrics&>()));
+  using OutPair = typename OutVec::value_type;
+  Rdd<typename OutPair::first_type, typename OutPair::second_type> out;
+  out.partitions.resize(in.num_partitions());
+  out.partitioner_id = partitioner_id;
+  auto& stage = engine.begin_stage(name, in.num_partitions());
+  if constexpr (std::is_trivially_copyable_v<Spec>) {
+    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
+      PoolStagePlan plan;
+      plan.kernel = &narrow_kernel<Spec, typename InRdd::Pair, Part>;
+      plan.closure = pool_closure_bytes(spec);
+      plan.inputs = pool_inputs(in);
+      engine.run_stage(stage, unpooled_body(), &plan);
+      out.resident = std::move(plan.out);
+      return out;
     }
-    ipc::encode_value(segs[target], kv);
-    ++counts[target];
   }
-  task.records_out = task.records_in;
-  task.bytes_out = task.bytes_in;
-  ipc::WireWriter bundle;
-  bundle.put_u64(targets);
-  for (std::size_t t = 0; t < targets; ++t) {
-    bundle.put_u64(counts[t]);
-    bundle.put_u64(segs[t].buffer().size());
-    bundle.put_bytes(segs[t].buffer().data(), segs[t].buffer().size());
-  }
-  return bundle.take();
+  std::remove_const_t<InRdd> storage;
+  InRdd& src = localized(in, storage);
+  engine.run_stage(stage, [&](TaskContext& ctx) {
+    const std::size_t p = ctx.partition();
+    out.partitions[p] = Part(spec, src.partitions[p], ctx.metrics());
+  });
+  return out;
 }
-
-/// Trivially-copyable closure of the map-side combine kernel.
-template <typename Agg, typename Fold>
-struct CombineSpec {
-  Agg init;
-  Fold fold;
-};
 
 template <typename T, typename = void>
 inline constexpr bool eq_comparable_v = false;
@@ -431,102 +573,6 @@ template <typename T>
 inline constexpr bool eq_comparable_v<
     T, std::void_t<decltype(std::declval<const T&>() ==
                             std::declval<const T&>())>> = true;
-
-template <typename K, typename V, typename Agg, typename Fold>
-std::string combine_kernel(const PoolTaskCtx& ctx) {
-  using Spec = CombineSpec<Agg, Fold>;
-  std::aligned_storage_t<sizeof(Spec), alignof(Spec)> storage;
-  const Spec& spec = pool_closure_cast<Spec>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = task.records_in / 4;  // hash-fold per record
-  FlatHashMap<K, Agg> local;
-  local.reserve(part.size());
-  for (const auto& kv : part) {
-    auto [entry, inserted] = local.try_emplace(kv.first, spec.init);
-    spec.fold(entry->second, kv.second);
-  }
-  auto combined = local.take_entries();
-  record_output(task, combined);
-  return ipc::encode_payload(combined);
-}
-
-/// Combine kernel for accumulators that are not trivially copyable (e.g.
-/// std::string) but whose init value is default-constructed: only the fold
-/// closure ships, and the worker materializes `Agg{}` per key itself.
-template <typename K, typename V, typename Agg, typename Fold>
-std::string combine_default_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fold), alignof(Fold)> storage;
-  const Fold& fold = pool_closure_cast<Fold>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = task.records_in / 4;  // hash-fold per record
-  FlatHashMap<K, Agg> local;
-  local.reserve(part.size());
-  for (const auto& kv : part) {
-    auto [entry, inserted] = local.try_emplace(kv.first, Agg{});
-    fold(entry->second, kv.second);
-  }
-  auto combined = local.take_entries();
-  record_output(task, combined);
-  return ipc::encode_payload(combined);
-}
-
-template <typename K, typename Agg, typename Merge>
-std::string merge_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Merge), alignof(Merge)> storage;
-  const Merge& merge = pool_closure_cast<Merge>(*ctx.closure, storage);
-  auto part = ipc::decode_payload<std::pair<K, Agg>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = task.records_in / 4;  // hash-merge per record
-  FlatHashMap<K, Agg> local;
-  local.reserve(part.size());
-  for (auto& kv : part) {
-    auto [entry, inserted] =
-        local.try_emplace(kv.first, std::move(kv.second));
-    if (!inserted) merge(entry->second, std::move(kv.second));
-  }
-  auto out = local.take_entries();
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-/// Join kernel: inputs.at(0) = left partition p, inputs.at(1) = right
-/// partition p (both already conforming to the join partitioner). Stateless
-/// — the plan ships an empty closure.
-template <typename K, typename V, typename W>
-std::string join_kernel(const PoolTaskCtx& ctx) {
-  const auto lhs = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  const auto rhs = ipc::decode_payload<std::pair<K, W>>(*ctx.inputs.at(1));
-  auto& task = *ctx.metrics;
-  record_input(task, lhs);
-  FlatHashMultiMap<K, const W*> index;
-  index.reserve(rhs.size());
-  for (const auto& kv : rhs) {
-    index.emplace(kv.first, &kv.second);
-    task.bytes_in += byte_size(kv);
-  }
-  task.records_in += rhs.size();
-  std::vector<std::pair<K, std::pair<V, std::optional<W>>>> out;
-  out.reserve(lhs.size());
-  for (const auto& kv : lhs) {
-    const bool matched = index.for_each(kv.first, [&](const W* w) {
-      out.emplace_back(std::piecewise_construct,
-                       std::forward_as_tuple(kv.first),
-                       std::forward_as_tuple(kv.second, *w));
-    });
-    if (!matched) {
-      out.emplace_back(std::piecewise_construct,
-                       std::forward_as_tuple(kv.first),
-                       std::forward_as_tuple(kv.second, std::nullopt));
-    }
-  }
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
 }  // namespace detail
 
 /// 1:1 transformation of whole pairs. Set `preserves_partitioning` only when
@@ -535,104 +581,24 @@ template <typename K, typename V, typename Fn>
 auto map_pairs(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
                const std::string& name = "map_pairs",
                bool preserves_partitioning = false) {
-  using OutPair = decltype(fn(std::declval<const std::pair<K, V>&>()));
-  using FnT = std::decay_t<Fn>;
-  Rdd<typename OutPair::first_type, typename OutPair::second_type> out;
-  out.partitions.resize(in.num_partitions());
-  out.partitioner_id = preserves_partitioning ? in.partitioner_id : 0;
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<FnT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::map_pairs_kernel<K, V, OutPair, FnT>;
-      plan.closure = pool_closure_bytes<FnT>(fn);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    out.partitions[p].reserve(src.partitions[p].size());
-    for (const auto& kv : src.partitions[p]) out.partitions[p].push_back(fn(kv));
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
+  return detail::run_narrow<&detail::map_pairs_part<std::decay_t<Fn>, K, V>>(
+      engine, name, in, fn, preserves_partitioning ? in.partitioner_id : 0);
 }
 
 /// Value-only transformation; always preserves partitioning.
 template <typename K, typename V, typename Fn>
 auto map_values(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
                 const std::string& name = "map_values") {
-  using V2 = decltype(fn(std::declval<const V&>()));
-  using FnT = std::decay_t<Fn>;
-  Rdd<K, V2> out;
-  out.partitions.resize(in.num_partitions());
-  out.partitioner_id = in.partitioner_id;
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<FnT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::map_values_kernel<K, V, V2, FnT>;
-      plan.closure = pool_closure_bytes<FnT>(fn);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    out.partitions[p].reserve(src.partitions[p].size());
-    for (const auto& kv : src.partitions[p]) {
-      out.partitions[p].emplace_back(kv.first, fn(kv.second));
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
+  return detail::run_narrow<&detail::map_values_part<std::decay_t<Fn>, K, V>>(
+      engine, name, in, fn, in.partitioner_id);
 }
 
 /// Keeps pairs where `pred(pair)` is true; preserves partitioning.
 template <typename K, typename V, typename Pred>
 Rdd<K, V> filter_pairs(Engine& engine, const Rdd<K, V>& in, Pred&& pred,
                        const std::string& name = "filter") {
-  using PredT = std::decay_t<Pred>;
-  Rdd<K, V> out;
-  out.partitions.resize(in.num_partitions());
-  out.partitioner_id = in.partitioner_id;
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<PredT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::filter_kernel<K, V, PredT>;
-      plan.closure = pool_closure_bytes<PredT>(pred);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    for (const auto& kv : src.partitions[p]) {
-      if (pred(kv)) out.partitions[p].push_back(kv);
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
+  return detail::run_narrow<&detail::filter_part<std::decay_t<Pred>, K, V>>(
+      engine, name, in, pred, in.partitioner_id);
 }
 
 /// 1:many transformation with caller-reported compute cost:
@@ -640,69 +606,40 @@ Rdd<K, V> filter_pairs(Engine& engine, const Rdd<K, V>& in, Pred&& pred,
 template <typename K, typename V, typename Fn>
 auto flat_map_metered(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
                       const std::string& name = "flat_map") {
-  using OutVec = decltype(fn(std::declval<const K&>(), std::declval<const V&>(),
-                             std::declval<std::size_t&>()));
-  using OutPair = typename OutVec::value_type;
-  using FnT = std::decay_t<Fn>;
-  Rdd<typename OutPair::first_type, typename OutPair::second_type> out;
-  out.partitions.resize(in.num_partitions());
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<FnT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::flat_map_kernel<K, V, OutPair, FnT>;
-      plan.closure = pool_closure_bytes<FnT>(fn);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    task.compute_cost = 0;  // reported by fn instead of records_in
-    for (const auto& kv : src.partitions[p]) {
-      std::size_t cost = 0;
-      auto produced = fn(kv.first, kv.second, cost);
-      task.compute_cost += cost;
-      for (auto& item : produced) {
-        out.partitions[p].push_back(std::move(item));
-      }
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
+  return detail::run_narrow<&detail::flat_map_part<std::decay_t<Fn>, K, V>>(
+      engine, name, in, fn, 0);
 }
 
 /// Wide transformation: re-buckets every pair by `partitioner`. Bytes that
 /// land on a different modeled executor than they started on are counted as
 /// shuffle traffic (partition p lives on executor p mod num_executors).
+/// Throws std::invalid_argument for a partitioner with zero partitions.
 template <typename K, typename V>
 Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
                        const HashPartitioner& partitioner,
                        const std::string& name = "partition_by") {
+  if (partitioner.num_partitions == 0) {
+    throw std::invalid_argument("partition_by(" + name +
+                                "): partitioner has zero partitions");
+  }
   const std::size_t sources = std::max<std::size_t>(1, in.num_partitions());
   const std::size_t targets = partitioner.num_partitions;
-  const std::size_t executors = std::max<std::size_t>(
-      1, engine.config().num_executors);
+  const detail::WideSpec spec{
+      partitioner,
+      std::max<std::uint64_t>(1, engine.config().num_executors)};
   Rdd<K, V> out;
   out.partitions.resize(targets);
   out.partitioner_id = partitioner.id();
+  auto& stage = engine.begin_stage(name, sources);
 
   if (engine.pool_residency() != nullptr) {
     // Worker-routed shuffle: each source task runs the wide kernel, keeps
     // the segments owned by its own worker slot and pushes the rest
     // worker-to-worker through the parent. The shuffled records never enter
     // the coordinator; the output stays resident.
-    auto& stage = engine.begin_stage(name, sources);
     PoolStagePlan plan;
     plan.kind = PoolStagePlan::Kind::kWide;
     plan.kernel = &detail::partition_by_kernel<K, V>;
-    detail::WideSpec spec{partitioner, static_cast<std::uint64_t>(executors)};
     plan.closure = pool_closure_bytes(spec);
     plan.num_targets = targets;
     plan.inputs = detail::pool_inputs(in);
@@ -717,32 +654,15 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
   // remembering its target and counting per (source, target); pass 2 copies
   // every record directly into its final slot. Target partition t holds
   // source 0's records for t in order, then source 1's, ... — the same
-  // deterministic layout the old bucket-then-gather version produced.
+  // layout the pool's owners assemble from the kernel's segments.
   std::vector<std::vector<std::uint32_t>> target_of(sources);
   std::vector<std::vector<std::size_t>> counts(
       sources, std::vector<std::size_t>(targets, 0));
-  auto& stage = engine.begin_stage(name, sources);
   engine.run_stage(stage, [&](TaskContext& ctx) {
     const std::size_t p = ctx.partition();
     if (p >= src.num_partitions()) return;  // sources is clamped to >= 1
-    auto& task = ctx.metrics();
-    const auto& records = src.partitions[p];
-    task.records_in = records.size();
-    // Bucketing is a hash + copy per record — far cheaper than a parse or
-    // search step; the bytes cost is paid at the network term.
-    task.compute_cost = task.records_in / 4;
-    target_of[p].resize(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const std::size_t target = partitioner.of(records[i].first);
-      target_of[p][i] = static_cast<std::uint32_t>(target);
-      ++counts[p][target];
-      // One byte_size walk, shared by the input and shuffle byte counts.
-      const std::size_t bytes = byte_size(records[i]);
-      task.bytes_in += bytes;
-      if (target % executors != p % executors) task.shuffle_bytes += bytes;
-    }
-    task.records_out = task.records_in;
-    task.bytes_out = task.bytes_in;
+    target_of[p] = detail::route_part(spec, src.partitions[p], p, counts[p],
+                                      ctx.metrics());
   });
   // offsets[s][t] = where source s's run starts inside target t.
   std::vector<std::vector<std::size_t>> offsets(
@@ -780,60 +700,24 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
                              const HashPartitioner& partitioner,
                              const std::string& name = "aggregate_by_key") {
   using FoldT = std::decay_t<Fold>;
-  using MergeT = std::decay_t<Merge>;
-  // Map-side combine per partition.
+  using FullSpec = detail::CombineSpec<Agg, FoldT>;
+  const auto combine = [&](const auto& spec) {
+    using Spec = std::decay_t<decltype(spec)>;
+    return detail::run_narrow<&detail::combine_part<Spec, K, V>>(
+        engine, name + ":combine", in, spec, in.partitioner_id);
+  };
   Rdd<K, Agg> combined;
-  combined.partitions.resize(in.num_partitions());
-  combined.partitioner_id = in.partitioner_id;
-  auto& stage = engine.begin_stage(name + ":combine", in.num_partitions());
-  bool pooled_combine = false;
-  if constexpr (std::is_trivially_copyable_v<detail::CombineSpec<Agg, FoldT>>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::combine_kernel<K, V, Agg, FoldT>;
-      detail::CombineSpec<Agg, FoldT> spec{init, fold};
-      plan.closure = pool_closure_bytes(spec);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      combined.resident = std::move(plan.out);
-      pooled_combine = true;
-    }
-  } else if constexpr (std::is_trivially_copyable_v<FoldT> &&
-                       std::is_default_constructible_v<Agg> &&
-                       detail::eq_comparable_v<Agg>) {
+  if constexpr (!std::is_trivially_copyable_v<FullSpec> &&
+                std::is_trivially_copyable_v<FoldT> &&
+                std::is_default_constructible_v<Agg> &&
+                detail::eq_comparable_v<Agg>) {
     // The accumulator itself can't ship by bytes, but when the caller's init
     // is just a default-constructed value the worker can rebuild it locally.
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0 &&
-        init == Agg{}) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::combine_default_kernel<K, V, Agg, FoldT>;
-      plan.closure = pool_closure_bytes<FoldT>(fold);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      combined.resident = std::move(plan.out);
-      pooled_combine = true;
-    }
-  }
-  if (!pooled_combine) {
-    Rdd<K, V> stor;
-    const Rdd<K, V>& src = detail::localized(in, stor);
-    engine.run_stage(stage, [&](TaskContext& ctx) {
-      const std::size_t p = ctx.partition();
-      auto& task = ctx.metrics();
-      detail::record_input(task, src.partitions[p]);
-      task.compute_cost = task.records_in / 4;  // hash-fold per record
-      // Accumulators live densely in the flat map in first-encounter order —
-      // a pure function of the partition's record sequence, so the emitted
-      // layout is identical across thread counts and hash-table capacities.
-      FlatHashMap<K, Agg> local;
-      local.reserve(src.partitions[p].size());
-      for (const auto& kv : src.partitions[p]) {
-        auto [entry, inserted] = local.try_emplace(kv.first, init);
-        fold(entry->second, kv.second);
-      }
-      combined.partitions[p] = local.take_entries();
-      detail::record_output(task, combined.partitions[p]);
-    });
+    combined = init == Agg{}
+                   ? combine(detail::DefaultCombineSpec<Agg, FoldT>{fold})
+                   : combine(FullSpec{init, fold});
+  } else {
+    combined = combine(FullSpec{init, fold});
   }
 
   const bool copartitioned =
@@ -843,40 +727,9 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
       copartitioned ? std::move(combined)
                     : partition_by(engine, combined, partitioner,
                                    name + ":shuffle");
-
   // Final merge of accumulators that met in the same partition.
-  Rdd<K, Agg> out;
-  out.partitions.resize(shuffled.num_partitions());
-  out.partitioner_id = partitioner.id();
-  auto& merge_stage =
-      engine.begin_stage(name + ":merge", shuffled.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<MergeT>) {
-    if (engine.pool_residency() != nullptr && shuffled.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::merge_kernel<K, Agg, MergeT>;
-      plan.closure = pool_closure_bytes<MergeT>(merge);
-      plan.inputs = detail::pool_inputs(shuffled);
-      engine.run_stage(merge_stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  ensure_local(shuffled);  // the merge body consumes its input by move
-  engine.run_stage(merge_stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, shuffled.partitions[p]);
-    task.compute_cost = task.records_in / 4;  // hash-merge per record
-    FlatHashMap<K, Agg> local;
-    local.reserve(shuffled.partitions[p].size());
-    for (auto& kv : shuffled.partitions[p]) {
-      auto [entry, inserted] = local.try_emplace(kv.first, std::move(kv.second));
-      if (!inserted) merge(entry->second, std::move(kv.second));
-    }
-    out.partitions[p] = local.take_entries();
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
+  return detail::run_narrow<&detail::merge_part<std::decay_t<Merge>, K, Agg>>(
+      engine, name + ":merge", shuffled, merge, partitioner.id());
 }
 
 /// reduce_by_key specialization of aggregate_by_key.
@@ -958,37 +811,12 @@ Rdd<K, std::pair<V, std::optional<W>>> left_outer_join(
   }
   Rdd<K, V> lstor;
   Rdd<K, W> rstor;
-  const Rdd<K, V>* jl = &detail::localized(*lhs, lstor);
-  const Rdd<K, W>* jr = &detail::localized(*rhs, rstor);
-  engine.run_stage(stage, [&, lhs = jl, rhs = jr](TaskContext& ctx) {
+  const Rdd<K, V>& jl = detail::localized(*lhs, lstor);
+  const Rdd<K, W>& jr = detail::localized(*rhs, rstor);
+  engine.run_stage(stage, [&](TaskContext& ctx) {
     const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, lhs->partitions[p]);
-    // Build side: duplicate right keys keep partition order in the chain,
-    // so matches are emitted deterministically per left record.
-    FlatHashMultiMap<K, const W*> index;
-    index.reserve(rhs->partitions[p].size());
-    for (const auto& kv : rhs->partitions[p]) {
-      index.emplace(kv.first, &kv.second);
-      task.bytes_in += byte_size(kv);
-    }
-    task.records_in += rhs->partitions[p].size();
-    // Exact when right keys are unique, a lower bound otherwise.
-    out.partitions[p].reserve(lhs->partitions[p].size());
-    for (const auto& kv : lhs->partitions[p]) {
-      const bool matched = index.for_each(kv.first, [&](const W* w) {
-        out.partitions[p].emplace_back(std::piecewise_construct,
-                                       std::forward_as_tuple(kv.first),
-                                       std::forward_as_tuple(kv.second, *w));
-      });
-      if (!matched) {
-        out.partitions[p].emplace_back(std::piecewise_construct,
-                                       std::forward_as_tuple(kv.first),
-                                       std::forward_as_tuple(kv.second,
-                                                            std::nullopt));
-      }
-    }
-    detail::record_output(task, out.partitions[p]);
+    out.partitions[p] =
+        detail::join_part(jl.partitions[p], jr.partitions[p], ctx.metrics());
   });
   return out;
 }

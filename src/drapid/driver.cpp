@@ -32,17 +32,15 @@ std::pair<std::string, std::string> split_key_value(const std::string& line) {
   return {line.substr(0, pos), line.substr(pos + 1)};
 }
 
-/// Pooled load kernel: the task input is the raw chunk text (partition 0
-/// starts with the CSV header), the output the encoded key/value partition,
-/// which stays resident in the worker. Metrics mirror the local load body.
-std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
-  const std::string& chunk = *ctx.inputs.at(0);
-  auto& task = *ctx.metrics;
+/// Parses one block chunk of a keyed CSV file into key/value records. The
+/// first chunk of the file starts with the CSV header, which is dropped.
+std::vector<std::pair<std::string, std::string>> load_part(
+    const std::string& chunk, bool first_chunk, TaskMetrics& task) {
   task.bytes_in = chunk.size();
   std::vector<std::pair<std::string, std::string>> records;
   std::istringstream in(chunk);
   std::string line;
-  bool first_line_of_file = (ctx.partition == 0);
+  bool first_line_of_file = first_chunk;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     if (first_line_of_file) {
@@ -52,9 +50,18 @@ std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
     records.push_back(split_key_value(line));
     ++task.records_in;
   }
+  // Parsing dominates the load stage: a per-record cost plus a per-byte
+  // scan cost (the cluster cost model prices these as CPU work).
   task.compute_cost = task.records_in + task.bytes_in / 32;
   detail::record_output(task, records);
-  return ipc::encode_payload(records);
+  return records;
+}
+
+/// Pooled load kernel: the task input is the raw chunk text, the output the
+/// encoded key/value partition, which stays resident in the worker.
+std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
+  return ipc::encode_payload(
+      load_part(*ctx.inputs.at(0), ctx.partition == 0, *ctx.metrics));
 }
 
 /// Loads a keyed CSV file from the block store as one RDD partition per
@@ -85,24 +92,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
   }
   engine.run_stage(stage, [&](TaskContext& ctx) {
     const std::size_t c = ctx.partition();
-    auto& task = ctx.metrics();
-    task.bytes_in = chunks[c].size();
-    std::istringstream in(chunks[c]);
-    std::string line;
-    bool first_line_of_file = (c == 0);
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      if (first_line_of_file) {
-        first_line_of_file = false;  // drop the CSV header
-        continue;
-      }
-      rdd.partitions[c].push_back(split_key_value(line));
-      ++task.records_in;
-    }
-    // Parsing dominates the load stage: a per-record cost plus a per-byte
-    // scan cost (the cluster cost model prices these as CPU work).
-    task.compute_cost = task.records_in + task.bytes_in / 32;
-    detail::record_output(task, rdd.partitions[c]);
+    rdd.partitions[c] = load_part(chunks[c], c == 0, ctx.metrics());
   });
   return rdd;
 }
@@ -205,12 +195,34 @@ std::vector<std::pair<std::string, std::string>> search_key(
   return out;
 }
 
+using JoinedRdd =
+    Rdd<std::string, std::pair<std::string, std::optional<std::string>>>;
+
+/// The search stage over one joined partition: every observation that has
+/// both clusters and SPEs is searched; the compute cost is the work
+/// search_key reports.
+std::vector<std::pair<std::string, std::string>> search_partition(
+    const std::vector<JoinedRdd::Pair>& part, const DmGrid& grid,
+    const RapidParams& params, TaskMetrics& task) {
+  detail::record_input(task, part);
+  task.compute_cost = 0;
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [key, v] : part) {
+    if (!v.second || v.second->empty() || v.first.empty()) continue;
+    auto produced = search_key(key, split_lines(v.first), *v.second, grid,
+                               params, task.compute_cost);
+    for (auto& item : produced) out.push_back(std::move(item));
+  }
+  detail::record_output(task, out);
+  return out;
+}
+
 /// Pooled search kernel. The closure string carries RapidParams as raw bytes
 /// followed by the encoded DM plan; the worker rebuilds the grid (DmGrid
 /// construction from a plan is deterministic, so extracted features match
 /// the driver's grid bit for bit). Shipping the plan by value — never a
 /// pointer — keeps the kernel valid in workers forked before this grid
-/// existed. Metrics mirror flat_map_metered's local body.
+/// existed.
 std::string search_stage_kernel(const PoolTaskCtx& ctx) {
   RapidParams params;
   std::memcpy(&params, ctx.closure->data(), sizeof(params));
@@ -219,28 +231,9 @@ std::string search_stage_kernel(const PoolTaskCtx& ctx) {
   std::vector<DmPlanSegment> plan;
   ipc::decode_value(reader, plan);
   const DmGrid grid(std::move(plan));
-
-  using JoinedPair =
-      std::pair<std::string,
-                std::pair<std::string, std::optional<std::string>>>;
-  const auto part = ipc::decode_payload<JoinedPair>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  detail::record_input(task, part);
-  task.compute_cost = 0;
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& kv : part) {
-    std::size_t cost = 0;
-    const auto& v = kv.second;
-    if (v.second && !v.second->empty() && !v.first.empty()) {
-      auto produced =
-          search_key(kv.first, split_lines(v.first), *v.second, grid, params,
-                     cost);
-      for (auto& item : produced) out.push_back(std::move(item));
-    }
-    task.compute_cost += cost;
-  }
-  detail::record_output(task, out);
-  return ipc::encode_payload(out);
+  return ipc::encode_payload(search_partition(
+      ipc::decode_payload<JoinedRdd::Pair>(*ctx.inputs.at(0)), grid, params,
+      *ctx.metrics));
 }
 
 }  // namespace
@@ -347,36 +340,28 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
 
   // Stage 3d: the search phase.
   phase.emplace(engine.tracer(), "phase", "search", "driver");
-  const RapidParams rapid_params = config.rapid;
   StringRdd ml_rows;
+  ml_rows.partitions.resize(joined.num_partitions());
+  auto& search_stage = engine.begin_stage("search", joined.num_partitions());
   if (engine.pool_residency() != nullptr && joined.num_partitions() > 0) {
-    // The generic flat_map gate must not see this closure: it captures the
-    // grid by pointer, which a pool worker forked earlier cannot follow.
-    // Ship the grid's plan by value instead and rebuild it in the worker.
-    ml_rows.partitions.resize(joined.num_partitions());
-    auto& stage = engine.begin_stage("search", joined.num_partitions());
+    // The grid cannot ship as a pointer: send its plan by value and rebuild
+    // it in the worker.
     PoolStagePlan plan;
     plan.kernel = &search_stage_kernel;
-    plan.closure.assign(reinterpret_cast<const char*>(&rapid_params),
-                        sizeof(rapid_params));
+    plan.closure.assign(reinterpret_cast<const char*>(&config.rapid),
+                        sizeof(config.rapid));
     plan.closure += ipc::encode_payload(grid.plan());
     plan.inputs = detail::pool_inputs(joined);
-    engine.run_stage(stage, detail::unpooled_body(), &plan);
+    engine.run_stage(search_stage, detail::unpooled_body(), &plan);
     ml_rows.resident = std::move(plan.out);
   } else {
-    const DmGrid* grid_ptr = &grid;
-    ml_rows = flat_map_metered(
-        engine, joined,
-        [grid_ptr, &rapid_params](
-            const std::string& key,
-            const std::pair<std::string, std::optional<std::string>>& v,
-            std::size_t& cost)
-            -> std::vector<std::pair<std::string, std::string>> {
-          if (!v.second || v.second->empty() || v.first.empty()) return {};
-          return search_key(key, split_lines(v.first), *v.second, *grid_ptr,
-                            rapid_params, cost);
-        },
-        "search");
+    JoinedRdd storage;
+    const JoinedRdd& src = detail::localized(joined, storage);
+    engine.run_stage(search_stage, [&](TaskContext& ctx) {
+      const std::size_t p = ctx.partition();
+      ml_rows.partitions[p] = search_partition(src.partitions[p], grid,
+                                               config.rapid, ctx.metrics());
+    });
   }
 
   // Collect, order deterministically, and write the ML file back.

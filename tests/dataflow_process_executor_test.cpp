@@ -142,6 +142,115 @@ TEST(ProcessExecutor, ShufflePipelineMatchesLocalByteForByte) {
   EXPECT_EQ(process.metrics().total_worker_deaths(), 0u);
 }
 
+// Every transformation once, so both combine paths run: a size_t
+// accumulator ships with its init value, a std::string one ships only its
+// fold.
+void run_every_transformation(Engine& engine) {
+  using Pair = std::pair<std::string, std::string>;
+  const auto rdd = parallelize(engine, make_pairs(600), 8);
+  const auto mapped = map_pairs(
+      engine, rdd,
+      [](const Pair& kv) { return std::make_pair(kv.first, kv.second + "!"); },
+      "map_pairs");
+  const auto kept = filter_pairs(
+      engine, mapped,
+      [](const Pair& kv) { return kv.second.size() % 3 != 0; }, "filter");
+  const auto sized = map_values(
+      engine, kept, [](const std::string& v) { return v.size(); },
+      "map_values");
+  const auto split = flat_map_metered(
+      engine, kept,
+      [](const std::string& k, const std::string& v, std::size_t& cost) {
+        cost += v.size();
+        return std::vector<Pair>{{k, v.substr(0, 3)}, {k + "'", v + v}};
+      },
+      "flat_map");
+  const HashPartitioner part{16};
+  const auto shuffled = partition_by(engine, split, part);
+  const auto counts = aggregate_by_key(
+      engine, shuffled, std::size_t{0},
+      [](std::size_t& agg, const std::string&) { ++agg; },
+      [](std::size_t& agg, std::size_t&& other) { agg += other; }, part,
+      "count");
+  const auto lines = aggregate_by_key(
+      engine, split, std::string{},
+      [](std::string& agg, const std::string& v) { agg += v; },
+      [](std::string& agg, std::string&& other) { agg += other; }, part,
+      "concat");
+  reduce_by_key(
+      engine, sized, [](std::size_t a, std::size_t b) { return a + b; }, part,
+      "reduce");
+  left_outer_join(engine, lines, counts, part, "join");
+}
+
+// The part-function contract: a stage reports the same per-task numbers on
+// both backends, because one function computes them for both.
+void expect_same_task_metrics(const JobMetrics& local,
+                              const JobMetrics& pooled) {
+  ASSERT_EQ(pooled.stages.size(), local.stages.size());
+  for (std::size_t s = 0; s < local.stages.size(); ++s) {
+    const StageMetrics& want = local.stages[s];
+    const StageMetrics& got = pooled.stages[s];
+    ASSERT_EQ(got.name, want.name);
+    ASSERT_EQ(got.tasks.size(), want.tasks.size()) << want.name;
+    for (std::size_t p = 0; p < want.tasks.size(); ++p) {
+      SCOPED_TRACE(want.name + " task " + std::to_string(p));
+      const TaskMetrics& a = want.tasks[p];
+      const TaskMetrics& b = got.tasks[p];
+      EXPECT_EQ(b.records_in, a.records_in);
+      EXPECT_EQ(b.bytes_in, a.bytes_in);
+      EXPECT_EQ(b.records_out, a.records_out);
+      EXPECT_EQ(b.bytes_out, a.bytes_out);
+      EXPECT_EQ(b.shuffle_bytes, a.shuffle_bytes);
+      EXPECT_EQ(b.spill_bytes, a.spill_bytes);
+      EXPECT_EQ(b.compute_cost, a.compute_cost);
+      EXPECT_EQ(b.attempts, a.attempts);
+      EXPECT_EQ(b.retry_cost, a.retry_cost);
+    }
+  }
+}
+
+TEST(ProcessExecutor, EveryTransformationReportsLocalTaskMetrics) {
+  DRAPID_REQUIRE_FORK();
+  Engine local(local_config());
+  run_every_transformation(local);
+  Engine pooled(process_config(2));
+  run_every_transformation(pooled);
+  expect_same_task_metrics(local.metrics(), pooled.metrics());
+  // Every stage after parallelize really ran on the pool.
+  const auto& stages = pooled.metrics().stages;
+  ASSERT_EQ(stages.front().name, "parallelize");
+  for (std::size_t s = 1; s < stages.size(); ++s) {
+    EXPECT_GT(stages[s].ipc_bytes, 0u) << stages[s].name;
+  }
+}
+
+TEST(ProcessExecutor, ResidentEstimatedBytesMatchLocalWithoutFetching) {
+  DRAPID_REQUIRE_FORK();
+  const auto run = [](Engine& engine) {
+    const HashPartitioner part{16};
+    const auto shuffled = partition_by(
+        engine, parallelize(engine, make_pairs(2000), 8), part);
+    const auto lines = aggregate_by_key(
+        engine, shuffled, std::string{},
+        [](std::string& agg, const std::string& v) { agg += v; },
+        [](std::string& agg, std::string&& other) { agg += other; }, part);
+    return std::make_pair(shuffled, lines);
+  };
+  Engine local(local_config());
+  const auto [local_shuffled, local_lines] = run(local);
+  Engine pooled(process_config(2));
+  const auto [shuffled, lines] = run(pooled);
+  ASSERT_TRUE(shuffled.resident);
+  ASSERT_TRUE(lines.resident);
+  auto& ipc = obs::global_counters().counter("engine.ipc_bytes");
+  const std::int64_t before = ipc.value();
+  EXPECT_EQ(shuffled.estimated_bytes(), local_shuffled.estimated_bytes());
+  EXPECT_EQ(lines.estimated_bytes(), local_lines.estimated_bytes());
+  EXPECT_EQ(ipc.value(), before) << "estimating must not fetch partitions";
+  EXPECT_GT(lines.estimated_bytes(), 0u);
+}
+
 TEST(ProcessExecutor, InjectedTaskKillsMatchLocalRetryAccounting) {
   DRAPID_REQUIRE_FORK();
   const auto run = [](EngineConfig cfg) {
@@ -403,9 +512,10 @@ TEST(ExecPolicy, DefaultWidthsMatchTheRetiredKnobs) {
 
 // ------------------------------------------------- end-to-end acceptance
 
-// The ISSUE.md acceptance bar: the full D-RAPID pipeline on the process
-// backend produces a byte-identical ML file vs the local backend, including
-// when a worker is killed mid-search.
+// The process backend's acceptance bar: the full D-RAPID pipeline produces
+// a byte-identical ML file vs the local backend, including when a worker is
+// killed mid-search, and every stage reports the local backend's per-task
+// metrics.
 TEST(ProcessExecutor, FullPipelineMatchesLocalIncludingUnderWorkerKill) {
   DRAPID_REQUIRE_FORK();
   PipelineConfig pipeline;
@@ -421,29 +531,35 @@ TEST(ProcessExecutor, FullPipelineMatchesLocalIncludingUnderWorkerKill) {
     BlockStore store(15);
     run_full_pipeline(engine, store, pipeline);
     auto ml = store.get("GBT350Drift.ml.csv");
-    return std::make_pair(std::move(ml),
-                          engine.metrics().total_worker_deaths());
+    return std::make_pair(std::move(ml), engine.metrics());
   };
 
   EngineConfig local_cfg;
   local_cfg.num_executors = 4;
   local_cfg.exec = ExecPolicy::local(2);
-  const auto [local_ml, local_deaths] = run(local_cfg);
+  const auto [local_ml, local_metrics] = run(local_cfg);
   ASSERT_FALSE(local_ml.empty());
-  EXPECT_EQ(local_deaths, 0u);
+  EXPECT_EQ(local_metrics.total_worker_deaths(), 0u);
 
   EngineConfig process_cfg = local_cfg;
   process_cfg.exec = ExecPolicy::process(4, 2);
-  const auto [process_ml, process_deaths] = run(process_cfg);
+  const auto [process_ml, process_metrics] = run(process_cfg);
   EXPECT_EQ(process_ml, local_ml) << "process backend must be byte-identical";
-  EXPECT_EQ(process_deaths, 0u);
+  EXPECT_EQ(process_metrics.total_worker_deaths(), 0u);
+  expect_same_task_metrics(local_metrics, process_metrics);
+  // Only the cache bookkeeping stage has no pool plan.
+  for (const auto& stage : process_metrics.stages) {
+    if (stage.name == "data:cache") continue;
+    EXPECT_GT(stage.ipc_bytes, 0u) << stage.name;
+  }
 
   EngineConfig faulty_cfg = process_cfg;
   faulty_cfg.faults.kill_workers.push_back({"search", 2});
-  const auto [faulty_ml, faulty_deaths] = run(faulty_cfg);
+  const auto [faulty_ml, faulty_metrics] = run(faulty_cfg);
   EXPECT_EQ(faulty_ml, local_ml)
       << "a SIGKILLed search worker must not change the output";
-  EXPECT_GE(faulty_deaths, 1u) << "the planned kill must actually fire";
+  EXPECT_GE(faulty_metrics.total_worker_deaths(), 1u)
+      << "the planned kill must actually fire";
 }
 
 }  // namespace

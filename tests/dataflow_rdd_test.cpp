@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -129,6 +130,18 @@ TEST(PartitionBy, RecordsShuffleBytes) {
   // With 97 keys hashed across 8 partitions on 4 executors, most records
   // move between executors.
   EXPECT_GT(engine.metrics().total_shuffle_bytes(), 0u);
+}
+
+TEST(PartitionBy, RejectsZeroPartitionsOnEveryBackend) {
+  for (const ExecPolicy exec : {ExecPolicy::local(2), ExecPolicy::process(2)}) {
+    EngineConfig cfg = test_config();
+    cfg.exec = exec;
+    Engine engine(cfg);
+    const auto rdd = parallelize(engine, sample_pairs(50, 7), 3);
+    EXPECT_THROW(partition_by(engine, rdd, HashPartitioner{0}),
+                 std::invalid_argument)
+        << engine.executor().name();
+  }
 }
 
 TEST(AggregateByKey, CountsMatchReference) {

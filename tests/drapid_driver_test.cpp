@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "drapid/pipeline.hpp"
 #include "rapid/multithreaded.hpp"
@@ -206,6 +207,20 @@ TEST(DrapidDriver, SpillsWhenExecutorMemoryTooSmall) {
                              *cfg.survey.grid, {});
   EXPECT_EQ(r2.metrics.total_spill_bytes(), 0u);
   EXPECT_EQ(r.records.size(), r2.records.size());
+}
+
+TEST(DrapidDriver, ZeroExecutorsThrowsInsteadOfCrashing) {
+  // Zero executors means zero default partitions; the job must stop at the
+  // first shuffle with an error, not write past its partition table.
+  BlockStore store(15);
+  const auto cfg = small_pipeline();
+  const auto data = prepare_pipeline_data(cfg);
+  store.put("d.csv", data.data_csv);
+  store.put("c.csv", data.cluster_csv);
+  Engine engine(engine_config(/*executors=*/0));
+  EXPECT_THROW(
+      run_drapid(engine, store, "d.csv", "c.csv", "", *cfg.survey.grid, {}),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -150,13 +150,19 @@ int cmd_search(int argc, const char* const argv[]) {
         "--kill-worker STAGE:ID SIGKILLs a process worker mid-stage.");
     return 0;
   }
+  // Checked before the size_t cast, so a negative count is caught too.
+  const long long executors = opts.integer("executors");
+  if (executors < 1) {
+    std::cerr << "error: --executors must be at least 1, got " << executors
+              << '\n';
+    return 2;
+  }
   BlockStore store(15);
   store.put("data", read_file(opts.str("data")));
   store.put("clusters", read_file(opts.str("clusters")));
 
   EngineConfig engine_config;
-  engine_config.num_executors =
-      static_cast<std::size_t>(opts.integer("executors"));
+  engine_config.num_executors = static_cast<std::size_t>(executors);
   engine_config.exec.threads_per_worker =
       static_cast<std::size_t>(opts.integer("threads"));
   engine_config.max_task_attempts =
