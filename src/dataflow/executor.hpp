@@ -54,7 +54,7 @@ struct PoolTaskCtx {
   /// The stage's closure object as raw bytes (see pool_closure_bytes).
   const std::string* closure = nullptr;
   /// One serialized payload per declared input (kernels define the format;
-  /// data-plane kernels use ipc::encode_payload, the load kernel raw text).
+  /// data-plane kernels use encode_payload, the load kernel raw text).
   std::vector<const std::string*> inputs;
   TaskMetrics* metrics = nullptr;
   /// Wide kernels: output partition count to route into.

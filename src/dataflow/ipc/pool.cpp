@@ -26,8 +26,6 @@ namespace {
 
 using ipc::FrameKind;
 using ipc::TaskFrame;
-using ipc::WireReader;
-using ipc::WireWriter;
 
 constexpr std::uint64_t kDieBeforeFlag = 1;   ///< kTaskAssign flags bit
 constexpr std::uint64_t kInputInline = 0;     ///< kTaskAssign input modes
@@ -61,7 +59,7 @@ bool write_all(int fd, const char* data, std::size_t size) {
 // where the segment bytes are the target's records encoded back to back
 // (no count prefix). Owners assemble a target partition as
 //   u64 total_count + concat(segments in source order)
-// which is byte-identical to ipc::encode_payload of the same records — the
+// which is byte-identical to encode_payload of the same records — the
 // exact layout the local backend's placement pass produces.
 
 struct BundleSeg {
@@ -80,7 +78,7 @@ std::vector<BundleSeg> parse_bundle(const std::string& bundle) {
     seg.data = r.get_bytes(static_cast<std::size_t>(size));
     seg.size = static_cast<std::size_t>(size);
   }
-  if (!r.done()) throw ipc::WireError("segment bundle has trailing bytes");
+  if (!r.done()) throw WireError("segment bundle has trailing bytes");
   return segs;
 }
 
@@ -126,7 +124,7 @@ bool child_send(ChildState& st, const TaskFrame& frame) {
 /// Vectored send for data-bearing frames: header + payload spans + trailer
 /// go out through one writev without concatenating the payload first.
 bool child_send_parts(ChildState& st, const TaskFrame& frame,
-                      const ipc::FrameSpan* spans, std::size_t num_spans) {
+                      const FrameSpan* spans, std::size_t num_spans) {
   const ipc::FrameParts parts = ipc::encode_frame_parts(frame, spans,
                                                         num_spans);
   std::vector<iovec> iov;
@@ -182,8 +180,8 @@ void child_handle_stage_begin(ChildState& st, const TaskFrame& frame) {
   s.num_targets = static_cast<std::size_t>(r.get_u64());
   s.nworkers = static_cast<std::size_t>(r.get_u64());
   s.max_attempts = static_cast<std::size_t>(r.get_u64());
-  ipc::decode_value(r, s.name);
-  ipc::decode_value(r, s.closure);
+  decode_value(r, s.name);
+  decode_value(r, s.closure);
   st.stage = std::move(s);
 }
 
@@ -208,7 +206,7 @@ void child_handle_assign(ChildState& st, const TaskFrame& frame) {
     const std::uint64_t mode = r.get_u64();
     if (mode == kInputInline) {
       std::string bytes;
-      ipc::decode_value(r, bytes);
+      decode_value(r, bytes);
       owned.push_back(std::move(bytes));
       inputs.push_back(&owned.back());
     } else {
@@ -296,7 +294,7 @@ void child_handle_assign(ChildState& st, const TaskFrame& frame) {
     meta.put_u64(p);
     meta.put_u64(seg.count);
     meta.put_u64(seg.size);
-    const ipc::FrameSpan spans[2] = {
+    const FrameSpan spans[2] = {
         {meta.buffer().data(), meta.buffer().size()}, {seg.data, seg.size}};
     if (!child_send_parts(st, push, spans, 2)) ::_exit(1);
   }
@@ -385,7 +383,7 @@ void child_handle_fetch(ChildState& st, const TaskFrame& frame) {
   meta.put_u64(set);
   meta.put_u64(part);
   meta.put_u64(bytes->size());
-  const ipc::FrameSpan spans[2] = {
+  const FrameSpan spans[2] = {
       {meta.buffer().data(), meta.buffer().size()},
       {bytes->data(), bytes->size()}};
   if (!child_send_parts(st, data, spans, 2)) ::_exit(1);
@@ -931,7 +929,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
             static_cast<std::int64_t>(frame.metrics.attempts - base));
       }
       if (!ctx.wide) {
-        ipc::WireReader r(frame.payload);
+        WireReader r(frame.payload);
         pooldetail::PartState& part = ctx.out_state->parts[p];
         part.owner = static_cast<int>(w.slot);
         part.bytes = static_cast<std::size_t>(r.get_u64());
@@ -946,7 +944,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
       if (ctx_ == nullptr || !ctx_->wide) {
         throw std::runtime_error("worker pool: stray shuffle push");
       }
-      ipc::WireReader r(frame.payload);
+      WireReader r(frame.payload);
       r.get_u64();  // set (the in-flight stage's out set)
       const std::uint64_t target = r.get_u64();
       const std::size_t owner = static_cast<std::size_t>(target) % nworkers_;
@@ -964,7 +962,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
         throw std::runtime_error("worker pool: stray stage-end ack");
       }
       StageCtx& ctx = *ctx_;
-      ipc::WireReader r(frame.payload);
+      WireReader r(frame.payload);
       r.get_u64();  // set
       const std::uint64_t n = r.get_u64();
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -980,7 +978,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
     }
 
     case FrameKind::kData: {
-      ipc::WireReader r(frame.payload);
+      WireReader r(frame.payload);
       const std::uint64_t set = r.get_u64();
       const std::uint64_t part = r.get_u64();
       const std::uint64_t size = r.get_u64();
@@ -1045,8 +1043,8 @@ void WorkerPool::send_stage_begin(PoolWorker& w) {
   pw.put_u64(ctx.plan.num_targets);
   pw.put_u64(nworkers_);
   pw.put_u64(ctx.max_attempts);
-  ipc::encode_value(pw, ctx.stage.name);
-  ipc::encode_value(pw, ctx.plan.closure);
+  encode_value(pw, ctx.stage.name);
+  encode_value(pw, ctx.plan.closure);
   frame.payload = pw.take();
   enqueue(w, ipc::encode_frame(frame));
 }
@@ -1060,7 +1058,7 @@ void WorkerPool::send_assign(PoolWorker& w, std::size_t task,
   // lineage rebuild if the holder died.
   const auto& refs = ctx.inputs[task];
   std::vector<std::string> pieces;
-  std::vector<ipc::FrameSpan> spans;
+  std::vector<FrameSpan> spans;
   std::vector<const std::string*> payloads;  // parallel to spans
   pieces.reserve(refs.size() + 1);
   std::vector<std::string> fetched;

@@ -1,6 +1,7 @@
 #include "dataflow/ipc/wire.hpp"
 
-#include "util/checksum.hpp"
+#include <cstring>
+#include <vector>
 
 namespace drapid::ipc {
 
@@ -17,13 +18,8 @@ std::uint64_t read_u64(const char* data) {
   return v;
 }
 
-}  // namespace
-
-namespace {
-
 void put_header(WireWriter& w, const TaskFrame& frame,
                 std::uint64_t payload_len) {
-  w.put_u64(kWireMagic);
   w.put_u64(static_cast<std::uint64_t>(frame.kind));
   w.put_u64(frame.partition);
   w.put_u64(static_cast<std::uint64_t>(frame.error_kind));
@@ -42,36 +38,32 @@ void put_header(WireWriter& w, const TaskFrame& frame,
 }  // namespace
 
 std::string encode_frame(const TaskFrame& frame) {
-  WireWriter w;
-  put_header(w, frame, frame.payload.size());
-  w.put_bytes(frame.payload.data(), frame.payload.size());
-  // Checksum covers every byte after the magic: header words + payload.
-  const std::string& bytes = w.buffer();
-  const std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, bytes.data() + sizeof(std::uint64_t),
-                    bytes.size() - sizeof(std::uint64_t));
-  w.put_u64(checksum);
-  return w.take();
+  const FrameSpan payload{frame.payload.data(), frame.payload.size()};
+  const FrameParts parts = encode_frame_parts(frame, &payload, 1);
+  std::string bytes;
+  bytes.reserve(parts.header.size() + payload.size + parts.trailer.size());
+  bytes.append(parts.header);
+  bytes.append(payload.data, payload.size);
+  bytes.append(parts.trailer);
+  return bytes;
 }
 
 FrameParts encode_frame_parts(const TaskFrame& frame, const FrameSpan* spans,
                               std::size_t num_spans) {
   std::uint64_t payload_len = 0;
   for (std::size_t i = 0; i < num_spans; ++i) payload_len += spans[i].size;
-  WireWriter w;
+  WireWriter w = begin_frame(kWireMagic);
   put_header(w, frame, payload_len);
   FrameParts parts;
   parts.header = w.take();
-  // checksum_fold chains: folding the header tail, then each span in order,
-  // equals folding the equivalent contiguous frame in one call.
-  std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, parts.header.data() + sizeof(std::uint64_t),
-                    parts.header.size() - sizeof(std::uint64_t));
-  for (std::size_t i = 0; i < num_spans; ++i) {
-    checksum = checksum_fold(checksum, spans[i].data, spans[i].size);
-  }
+  // The body is the header after its magic, then the payload spans.
+  std::vector<FrameSpan> body;
+  body.reserve(num_spans + 1);
+  body.push_back({parts.header.data() + sizeof(std::uint64_t),
+                  parts.header.size() - sizeof(std::uint64_t)});
+  body.insert(body.end(), spans, spans + num_spans);
   WireWriter t;
-  t.put_u64(checksum);
+  t.put_u64(frame_checksum(body.data(), body.size()));
   parts.trailer = t.take();
   return parts;
 }
@@ -99,15 +91,13 @@ DecodeStatus try_decode_frame(const char* data, std::size_t size,
       sizeof(std::uint64_t);
   if (size < total) return DecodeStatus::kIncomplete;
 
-  const std::uint64_t stored =
-      read_u64(data + total - sizeof(std::uint64_t));
-  const std::uint64_t computed = checksum_fold(
-      kChecksumSeed, data + sizeof(std::uint64_t),
-      total - 2 * sizeof(std::uint64_t));
-  if (stored != computed) return DecodeStatus::kCorrupt;
-
-  WireReader r(data, total - sizeof(std::uint64_t));
-  r.get_u64();  // magic
+  std::string_view body;
+  try {
+    body = open_frame({data, total}, kWireMagic);
+  } catch (const WireError&) {
+    return DecodeStatus::kCorrupt;
+  }
+  WireReader r(body);
   out.kind = static_cast<FrameKind>(r.get_u64());
   out.partition = r.get_u64();
   out.error_kind = static_cast<WireErrorKind>(r.get_u64());

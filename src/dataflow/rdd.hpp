@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "dataflow/engine.hpp"
-#include "dataflow/ipc/wire.hpp"  // value codecs backing the pool kernels
+#include "util/codec.hpp"  // value codecs backing the pool kernels
 #include "util/flat_hash.hpp"  // stable_hash + the per-partition hash tables
 
 namespace drapid {
@@ -175,7 +175,7 @@ struct Rdd {
     std::vector<Pair> all;
     if (resident) {
       for (std::size_t p = 0; p < partitions.size(); ++p) {
-        auto part = ipc::decode_payload<Pair>(pool_fetch(resident, p));
+        auto part = decode_payload<Pair>(pool_fetch(resident, p));
         all.insert(all.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
       }
@@ -196,7 +196,7 @@ void ensure_local(Rdd<K, V>& rdd) {
   if (!rdd.resident) return;
   for (std::size_t p = 0; p < rdd.partitions.size(); ++p) {
     rdd.partitions[p] =
-        ipc::decode_payload<std::pair<K, V>>(pool_fetch(rdd.resident, p));
+        decode_payload<std::pair<K, V>>(pool_fetch(rdd.resident, p));
   }
   rdd.resident.reset();
 }
@@ -436,8 +436,8 @@ template <typename Spec, typename InPair, auto Part>
 std::string narrow_kernel(const PoolTaskCtx& ctx) {
   std::aligned_storage_t<sizeof(Spec), alignof(Spec)> storage;
   const Spec& spec = pool_closure_cast<Spec>(*ctx.closure, storage);
-  auto input = ipc::decode_payload<InPair>(*ctx.inputs.at(0));
-  return ipc::encode_payload(Part(spec, input, *ctx.metrics));
+  auto input = decode_payload<InPair>(*ctx.inputs.at(0));
+  return encode_payload(Part(spec, input, *ctx.metrics));
 }
 
 /// Join kernel: inputs.at(0) = left partition p, inputs.at(1) = right
@@ -445,9 +445,9 @@ std::string narrow_kernel(const PoolTaskCtx& ctx) {
 /// — the plan ships an empty closure.
 template <typename K, typename V, typename W>
 std::string join_kernel(const PoolTaskCtx& ctx) {
-  return ipc::encode_payload(
-      join_part(ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0)),
-                ipc::decode_payload<std::pair<K, W>>(*ctx.inputs.at(1)),
+  return encode_payload(
+      join_part(decode_payload<std::pair<K, V>>(*ctx.inputs.at(0)),
+                decode_payload<std::pair<K, W>>(*ctx.inputs.at(1)),
                 *ctx.metrics));
 }
 
@@ -460,16 +460,16 @@ std::string partition_by_kernel(const PoolTaskCtx& ctx) {
   std::aligned_storage_t<sizeof(WideSpec), alignof(WideSpec)> storage;
   const WideSpec& spec = pool_closure_cast<WideSpec>(*ctx.closure, storage);
   const auto records =
-      ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
+      decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
   const std::size_t targets = ctx.num_targets;
   std::vector<std::size_t> counts(targets, 0);
   const auto target_of =
       route_part(spec, records, ctx.partition, counts, *ctx.metrics);
-  std::vector<ipc::WireWriter> segs(targets);
+  std::vector<WireWriter> segs(targets);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    ipc::encode_value(segs[target_of[i]], records[i]);
+    encode_value(segs[target_of[i]], records[i]);
   }
-  ipc::WireWriter bundle;
+  WireWriter bundle;
   bundle.put_u64(targets);
   for (std::size_t t = 0; t < targets; ++t) {
     bundle.put_u64(counts[t]);
@@ -492,7 +492,7 @@ R& localized(R& in, std::remove_const_t<R>& storage) {
   storage.partitioner_id = in.partitioner_id;
   for (std::size_t p = 0; p < in.num_partitions(); ++p) {
     storage.partitions[p] =
-        ipc::decode_payload<typename R::Pair>(pool_fetch(in.resident, p));
+        decode_payload<typename R::Pair>(pool_fetch(in.resident, p));
   }
   return storage;
 }
@@ -507,9 +507,9 @@ void fill_pool_input(PoolInputRef& ref, const Rdd<K, V>& in, std::size_t p) {
     ref.set = in.resident;
     ref.partition = p;
   } else if (p < in.num_partitions()) {
-    ref.inline_bytes = ipc::encode_payload(in.partitions[p]);
+    ref.inline_bytes = encode_payload(in.partitions[p]);
   } else {
-    ref.inline_bytes = ipc::encode_payload(std::vector<std::pair<K, V>>{});
+    ref.inline_bytes = encode_payload(std::vector<std::pair<K, V>>{});
   }
 }
 

@@ -6,34 +6,29 @@
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "util/checksum.hpp"
+#include "util/codec.hpp"
 
 namespace drapid {
 
 namespace {
 
-/// Spill file layout: magic, record count, (klen, k, vlen, v)*, checksum.
-/// The trailing checksum covers everything between magic and itself, so any
-/// flipped byte — count, a length prefix, or payload — fails validation.
-/// The checksum scheme itself (seed + fold) lives in util/checksum.hpp and
-/// is shared with the candidate-archive segment format.
 constexpr std::uint64_t kSpillMagic = 0x3153504C4C495244ULL;  // "DRILLPS1"
-constexpr std::size_t kHeaderBytes = 16;   // magic + count
-constexpr std::size_t kTrailerBytes = 8;   // checksum
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
 
 [[noreturn]] void spill_fail(const std::string& file, const std::string& why) {
   throw SpillError("spill file " + file + ": " + why);
 }
 
+/// Payload bytes of a partition as the cost model prices them: each record's
+/// key and value plus their two u64 length prefixes.
+std::size_t spill_payload_bytes(const SpillRecords& records) {
+  std::size_t bytes = 0;
+  for (const auto& [k, v] : records) bytes += k.size() + v.size() + 16;
+  return bytes;
+}
+
 /// Damages a freshly-written spill file per the injected fault: flips one
-/// byte past the magic (detected by length validation or the checksum) or
-/// deletes the file outright.
+/// byte past the magic (caught by the checksum) or deletes the file
+/// outright.
 void apply_spill_fault(const std::string& path, SpillFault fault) {
   namespace fs = std::filesystem;
   if (fault == SpillFault::kLose) {
@@ -91,104 +86,32 @@ CachedStringRdd::CachedStringRdd(Engine& engine, StringRdd rdd,
   });
 }
 
+void write_spill_file(const std::string& path, const SpillRecords& records) {
+  WireWriter w = begin_frame(kSpillMagic);
+  encode_value(w, records);
+  const std::string bytes = seal_frame(std::move(w));
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw SpillError("cannot open spill file " + path);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw SpillError("spill write failed: " + path);
+}
+
+SpillRecords read_spill_file(const std::string& path) {
+  try {
+    const std::string bytes = read_file(path);
+    return decode_payload<SpillRecords::value_type>(
+        open_frame(bytes, kSpillMagic));
+  } catch (const WireError& e) {
+    spill_fail(path, e.what());
+  }
+}
+
 std::string CachedStringRdd::write_partition(
     const std::vector<StringRdd::Pair>& records, TaskMetrics& task) const {
   const std::string path = engine_.next_spill_path();
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw SpillError("cannot open spill file " + path);
-  // Serialize the whole partition into one contiguous buffer and hand the
-  // stream a single write, instead of four tiny writes per record that each
-  // pay the stream's put-area bookkeeping. The byte layout (and therefore
-  // the checksum and the read path) is unchanged.
-  std::size_t payload = 0;
-  for (const auto& [k, v] : records) payload += k.size() + v.size() + 16;
-  std::string buffer;
-  buffer.reserve(kHeaderBytes + payload + kTrailerBytes);
-  const auto append_u64 = [&buffer](std::uint64_t v) {
-    buffer.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  append_u64(kSpillMagic);
-  append_u64(records.size());
-  for (const auto& [k, v] : records) {
-    append_u64(k.size());
-    buffer.append(k);
-    append_u64(v.size());
-    buffer.append(v);
-  }
-  task.spill_bytes += payload;
-  // The checksum folds byte-by-byte over exactly the bytes between the magic
-  // and itself, so folding the assembled buffer once is identical to folding
-  // each field as it is written.
-  const std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, buffer.data() + sizeof(kSpillMagic),
-                    buffer.size() - sizeof(kSpillMagic));
-  append_u64(checksum);
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (!out) throw SpillError("spill write failed: " + path);
+  write_spill_file(path, records);
+  task.spill_bytes += spill_payload_bytes(records);
   return path;
-}
-
-void CachedStringRdd::read_partition(std::size_t p,
-                                     std::vector<StringRdd::Pair>& out,
-                                     TaskMetrics& task) const {
-  const std::string& file = files_[p];
-  std::ifstream in(file, std::ios::binary);
-  if (!in) spill_fail(file, "missing or unreadable (lost replica?)");
-  std::error_code ec;
-  const auto file_size =
-      static_cast<std::size_t>(std::filesystem::file_size(file, ec));
-  if (ec) spill_fail(file, "cannot stat: " + ec.message());
-  if (file_size < kHeaderBytes + kTrailerBytes) {
-    spill_fail(file, "truncated: " + std::to_string(file_size) +
-                         " bytes is smaller than header + checksum");
-  }
-  if (read_u64(in) != kSpillMagic) {
-    spill_fail(file, "bad header magic (not a spill file, or corrupted)");
-  }
-  // Bytes between the count prefix we are about to read and the trailing
-  // checksum; every length prefix is validated against it so a corrupt
-  // prefix cannot trigger a multi-GB allocation or a silent short read.
-  std::size_t remaining = file_size - 8 - kTrailerBytes;
-  const std::uint64_t count = read_u64(in);
-  remaining -= 8;
-  std::uint64_t checksum = checksum_fold_u64(kChecksumSeed, count);
-  if (count > remaining / 16) {
-    spill_fail(file, "record count " + std::to_string(count) +
-                         " impossible for " + std::to_string(remaining) +
-                         " payload bytes");
-  }
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto read_string = [&](const char* what) {
-      if (remaining < 8) spill_fail(file, std::string(what) + ": truncated");
-      const std::uint64_t len = read_u64(in);
-      remaining -= 8;
-      if (len > remaining) {
-        spill_fail(file, std::string(what) + " length " + std::to_string(len) +
-                             " exceeds the " + std::to_string(remaining) +
-                             " bytes left in the file");
-      }
-      std::string s(len, '\0');
-      in.read(s.data(), static_cast<std::streamsize>(len));
-      remaining -= len;
-      checksum = checksum_fold_u64(checksum, len);
-      checksum = checksum_fold(checksum, s.data(), s.size());
-      return s;
-    };
-    std::string k = read_string("record key");
-    std::string v = read_string("record value");
-    task.spill_bytes += k.size() + v.size() + 16;
-    out.emplace_back(std::move(k), std::move(v));
-  }
-  if (remaining != 0) {
-    spill_fail(file, std::to_string(remaining) +
-                         " unexpected trailing payload bytes");
-  }
-  if (read_u64(in) != checksum) {
-    spill_fail(file, "checksum mismatch (corrupted on disk)");
-  }
-  if (!in) spill_fail(file, "read failed");
-  task.records_out = out.size();
 }
 
 CachedStringRdd::StringRdd CachedStringRdd::materialize() {
@@ -201,7 +124,9 @@ CachedStringRdd::StringRdd CachedStringRdd::materialize() {
   engine_.run_stage(stage, [&](TaskContext& ctx) {
     const std::size_t p = ctx.partition();
     try {
-      read_partition(p, rdd.partitions[p], ctx.metrics());
+      rdd.partitions[p] = read_spill_file(files_[p]);
+      ctx.metrics().spill_bytes += spill_payload_bytes(rdd.partitions[p]);
+      ctx.metrics().records_out = rdd.partitions[p].size();
     } catch (const SpillError&) {
       // Lineage recovery happens below, outside the parallel phase — the
       // producer may itself run engine stages. Without a producer the

@@ -8,9 +8,9 @@
 // access. The written and re-read bytes are recorded in the job metrics,
 // which is what the cluster cost model prices as disk traffic.
 //
-// Integrity + lineage: each spill file carries a header magic and a
-// per-partition checksum, and every record length is validated against the
-// remaining file size, so truncation or corruption is detected instead of
+// Integrity + lineage: each spill file is a sealed frame (util/codec.hpp)
+// whose body is the partition's encode_payload bytes, so truncation or
+// corruption is detected before any record length is read, instead of
 // silently yielding garbage (or a multi-GB allocation). When a damaged or
 // missing file is detected on materialize and a producer closure was
 // recorded at construction, the lost partition is *recomputed from lineage*
@@ -28,11 +28,21 @@
 
 namespace drapid {
 
-/// A spill file failed validation (bad magic, impossible record length,
-/// truncation, checksum mismatch) or could not be opened.
+/// A spill file failed validation (truncation, bad magic, checksum
+/// mismatch, malformed records) or could not be opened.
 struct SpillError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+using SpillRecords = std::vector<std::pair<std::string, std::string>>;
+
+/// Writes one spill file: magic "DRILLPS1" sealing encode_payload(records).
+/// Throws SpillError on I/O failure.
+void write_spill_file(const std::string& path, const SpillRecords& records);
+
+/// Reads and validates one spill file. Throws SpillError on a missing,
+/// truncated, malformed or checksum-failing file.
+SpillRecords read_spill_file(const std::string& path);
 
 class CachedStringRdd {
  public:
@@ -64,9 +74,6 @@ class CachedStringRdd {
   const StringRdd& borrow();
 
  private:
-  /// Reads one spill file into `out`, validating format and checksum.
-  void read_partition(std::size_t p, std::vector<StringRdd::Pair>& out,
-                      TaskMetrics& task) const;
   /// Writes partition `p` of `rdd` to a fresh spill file, returns its path.
   std::string write_partition(const std::vector<StringRdd::Pair>& records,
                               TaskMetrics& task) const;

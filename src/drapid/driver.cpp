@@ -60,7 +60,7 @@ std::vector<std::pair<std::string, std::string>> load_part(
 /// Pooled load kernel: the task input is the raw chunk text, the output the
 /// encoded key/value partition, which stays resident in the worker.
 std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
-  return ipc::encode_payload(
+  return encode_payload(
       load_part(*ctx.inputs.at(0), ctx.partition == 0, *ctx.metrics));
 }
 
@@ -226,13 +226,13 @@ std::vector<std::pair<std::string, std::string>> search_partition(
 std::string search_stage_kernel(const PoolTaskCtx& ctx) {
   RapidParams params;
   std::memcpy(&params, ctx.closure->data(), sizeof(params));
-  ipc::WireReader reader(ctx.closure->data() + sizeof(params),
+  WireReader reader(ctx.closure->data() + sizeof(params),
                          ctx.closure->size() - sizeof(params));
   std::vector<DmPlanSegment> plan;
-  ipc::decode_value(reader, plan);
+  decode_value(reader, plan);
   const DmGrid grid(std::move(plan));
-  return ipc::encode_payload(search_partition(
-      ipc::decode_payload<JoinedRdd::Pair>(*ctx.inputs.at(0)), grid, params,
+  return encode_payload(search_partition(
+      decode_payload<JoinedRdd::Pair>(*ctx.inputs.at(0)), grid, params,
       *ctx.metrics));
 }
 
@@ -320,7 +320,7 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
         StringRdd agg = aggregate_lines(engine, kvp, upstream_part,
                                         "recompute:aggregate:data");
         if (agg.resident) {
-          return ipc::decode_payload<std::pair<std::string, std::string>>(
+          return decode_payload<std::pair<std::string, std::string>>(
               pool_fetch(agg.resident, p));
         }
         return std::move(agg.partitions.at(p));
@@ -350,7 +350,7 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
     plan.kernel = &search_stage_kernel;
     plan.closure.assign(reinterpret_cast<const char*>(&config.rapid),
                         sizeof(config.rapid));
-    plan.closure += ipc::encode_payload(grid.plan());
+    plan.closure += encode_payload(grid.plan());
     plan.inputs = detail::pool_inputs(joined);
     engine.run_stage(search_stage, detail::unpooled_body(), &plan);
     ml_rows.resident = std::move(plan.out);

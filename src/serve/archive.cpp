@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -154,7 +155,13 @@ CandidateArchive::CandidateArchive(std::string dir) : dir_(std::move(dir)) {
 
 void CandidateArchive::append(const ObservationId& obs,
                               const SinglePulseEvent& event) {
-  (void)obs.key();  // validate up front so seal() cannot fail mid-batch
+  // Validate up front so seal() cannot fail mid-batch and no NaN reaches
+  // the sorted indexes.
+  (void)obs.key();
+  if (!has_finite_fields(event)) {
+    throw std::invalid_argument(
+        "archive candidate has a non-finite dm, snr or time_s");
+  }
   pending_.push_back({obs, event});
   obs::global_counters().add("serve.appends");
 }

@@ -83,7 +83,8 @@ class CandidateArchive {
   // --- writer side (single writer; not thread-safe against itself) --------
 
   /// Buffers a candidate in the pending batch. Invisible to queries until
-  /// seal(). Throws std::invalid_argument for an id that cannot round-trip.
+  /// seal(). Throws std::invalid_argument for an id that cannot round-trip
+  /// or a non-finite dm, snr or time_s.
   void append(const ObservationId& obs, const SinglePulseEvent& event);
   void append(const CandidateRecord& rec) { append(rec.obs, rec.event); }
 

@@ -1,17 +1,13 @@
 // On-disk candidate-archive segments.
 //
 // A segment is one immutable, append-once batch of keyed candidates, sealed
-// by the archive writer and never modified again. The byte layout mirrors
-// the dataflow spill files (src/dataflow/spill.cpp) and shares their FNV
-// checksum scheme (util/checksum.hpp):
+// by the archive writer and never modified again. It is a sealed frame
+// (util/codec.hpp) with magic "DRASSEG1" and body
 //
-//   u64 magic ("DRASSEG1") | u64 record count |
-//   candidate records (spe_io.hpp binary encoding) | u64 checksum
+//   u64 record count | candidate records (spe_io.hpp binary encoding)
 //
-// The trailing checksum covers every byte between the magic and itself, so
-// a flipped bit anywhere — count, a key length, a payload double — fails
-// validation. The archive treats a failing segment as quarantined data, not
-// a crash (see archive.hpp).
+// The archive treats a failing segment as quarantined data, not a crash
+// (see archive.hpp).
 #pragma once
 
 #include <stdexcept>

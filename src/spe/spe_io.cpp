@@ -1,7 +1,7 @@
 #include "spe/spe_io.hpp"
 
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -205,53 +205,39 @@ std::vector<ClusterRecord> read_cluster_file(const std::string& path) {
 
 // --- Binary candidate records (archive segments) ----------------------------
 
-namespace {
-
-template <typename T>
-void append_raw(std::string& out, const T& value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+bool has_finite_fields(const SinglePulseEvent& event) {
+  return std::isfinite(event.dm) && std::isfinite(event.snr) &&
+         std::isfinite(event.time_s);
 }
 
-template <typename T>
-T read_raw(const char* data, std::size_t size, std::size_t& offset) {
-  if (size - offset < sizeof(T)) {
-    throw std::runtime_error("truncated candidate record");
-  }
-  T value;
-  std::memcpy(&value, data + offset, sizeof(T));
-  offset += sizeof(T);
-  return value;
-}
-
-}  // namespace
-
-void append_candidate_record(std::string& out, const CandidateRecord& rec) {
+void append_candidate_record(WireWriter& w, const CandidateRecord& rec) {
   const std::string key = rec.obs.key();  // validates the id
-  append_raw(out, static_cast<std::uint32_t>(key.size()));
-  out.append(key);
-  append_raw(out, rec.event.dm);
-  append_raw(out, rec.event.snr);
-  append_raw(out, rec.event.time_s);
-  append_raw(out, rec.event.sample);
-  append_raw(out, static_cast<std::int32_t>(rec.event.downfact));
+  encode_value(w, static_cast<std::uint32_t>(key.size()));
+  w.put_bytes(key.data(), key.size());
+  encode_value(w, rec.event.dm);
+  encode_value(w, rec.event.snr);
+  encode_value(w, rec.event.time_s);
+  encode_value(w, rec.event.sample);
+  encode_value(w, static_cast<std::int32_t>(rec.event.downfact));
 }
 
-CandidateRecord decode_candidate_record(const char* data, std::size_t size,
-                                        std::size_t& offset) {
-  if (offset > size) throw std::runtime_error("truncated candidate record");
-  const auto key_len = read_raw<std::uint32_t>(data, size, offset);
-  if (key_len == 0 || key_len > size - offset) {
-    throw std::runtime_error("truncated candidate record");
-  }
-  const std::string key(data + offset, key_len);
-  offset += key_len;
+CandidateRecord decode_candidate_record(WireReader& r) {
+  std::uint32_t key_len = 0;
+  decode_value(r, key_len);
+  if (key_len == 0) throw WireError("candidate record has an empty key");
+  const char* key = r.get_bytes(key_len);
   CandidateRecord rec;
-  rec.obs = ObservationId::from_key(key);  // rejects malformed keys
-  rec.event.dm = read_raw<double>(data, size, offset);
-  rec.event.snr = read_raw<double>(data, size, offset);
-  rec.event.time_s = read_raw<double>(data, size, offset);
-  rec.event.sample = read_raw<std::int64_t>(data, size, offset);
-  rec.event.downfact = read_raw<std::int32_t>(data, size, offset);
+  rec.obs = ObservationId::from_key(std::string(key, key_len));
+  decode_value(r, rec.event.dm);
+  decode_value(r, rec.event.snr);
+  decode_value(r, rec.event.time_s);
+  decode_value(r, rec.event.sample);
+  std::int32_t downfact = 0;
+  decode_value(r, downfact);
+  rec.event.downfact = downfact;
+  if (!has_finite_fields(rec.event)) {
+    throw WireError("candidate record has a non-finite dm, snr or time_s");
+  }
   return rec;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "spe/spe.hpp"
+#include "util/codec.hpp"
 #include "util/csv.hpp"
 
 namespace drapid {
@@ -68,14 +69,12 @@ std::vector<ClusterRecord> read_cluster_file(const std::string& path);
 
 // --- Binary candidate records (archive segments) ----------------------------
 //
-// The candidate archive stores one keyed SPE per record inside checksummed
-// segment files. A record is self-delimiting:
+// The candidate archive stores one keyed SPE per record inside sealed
+// segment files (serve/segment.hpp). A record is self-delimiting, written
+// with the byte codec of util/codec.hpp:
 //
 //   u32 key_len | key bytes (ObservationId::key()) |
 //   f64 dm | f64 snr | f64 time_s | i64 sample | i32 downfact
-//
-// Fixed-width fields are raw little-endian host encodings (segments are
-// machine-local, like the dataflow spill files they share a checksum with).
 
 /// One keyed single-pulse candidate, as archived.
 struct CandidateRecord {
@@ -86,14 +85,18 @@ struct CandidateRecord {
                          const CandidateRecord&) = default;
 };
 
-/// Appends the binary encoding of one candidate to `out`. Throws
-/// std::invalid_argument if the id cannot round-trip (see ObservationId::key).
-void append_candidate_record(std::string& out, const CandidateRecord& rec);
+/// True when dm, snr and time_s are all finite. The archive's sorted indexes
+/// and canonical result order need a strict weak ordering on these fields,
+/// which a NaN breaks.
+bool has_finite_fields(const SinglePulseEvent& event);
 
-/// Decodes one candidate from `data` starting at `offset`, advancing
-/// `offset` past it. Throws std::runtime_error on a truncated or malformed
-/// record (bad length, key that from_key() rejects).
-CandidateRecord decode_candidate_record(const char* data, std::size_t size,
-                                        std::size_t& offset);
+/// Appends the binary encoding of one candidate to `w`. Throws
+/// std::invalid_argument if the id cannot round-trip (see ObservationId::key).
+void append_candidate_record(WireWriter& w, const CandidateRecord& rec);
+
+/// Decodes one candidate from `r`. Throws a std::runtime_error subclass on a
+/// truncated or malformed record (bad length, key that from_key() rejects,
+/// non-finite dm/snr/time_s).
+CandidateRecord decode_candidate_record(WireReader& r);
 
 }  // namespace drapid
