@@ -72,6 +72,16 @@ TEST(WireFrame, ErrorFrameRoundTripsKind) {
   EXPECT_EQ(out.payload, in.payload);
 }
 
+TEST(WireFrame, EveryTruncationIsIncompleteNeverValid) {
+  const std::string bytes = encode_frame(sample_frame());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    TaskFrame out;
+    std::size_t consumed = 0;
+    const auto status = try_decode_frame(bytes.data(), len, out, consumed);
+    EXPECT_NE(status, DecodeStatus::kOk) << "truncated to " << len;
+  }
+}
+
 TEST(WireFrame, AbsurdPayloadLengthIsCorruptNotIncomplete) {
   // A flipped high bit in payload_len must not make the coordinator wait
   // for exabytes that will never arrive: past the cap it is corruption.
@@ -214,6 +224,39 @@ TEST(WireFrame, FramePartsMatchContiguousEncodingExactly) {
   empty.payload.clear();
   const FrameParts empty_parts = encode_frame_parts(empty, nullptr, 0);
   EXPECT_EQ(empty_parts.header + empty_parts.trailer, encode_frame(empty));
+}
+
+TEST(WireFrame, FramePartsStreamSurvivesTruncationFuzz) {
+  // Assemble a frame from parts, then check the same integrity properties
+  // the contiguous path has: every prefix is incomplete-or-corrupt, every
+  // single-bit flip is rejected.
+  TaskFrame frame = sample_frame();
+  frame.kind = FrameKind::kTaskAssign;
+  const std::string payload = frame.payload;
+  frame.payload.clear();
+  const FrameSpan span{payload.data(), payload.size()};
+  const FrameParts parts = encode_frame_parts(frame, &span, 1);
+  const std::string bytes = parts.header + payload + parts.trailer;
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    TaskFrame out;
+    std::size_t consumed = 0;
+    EXPECT_NE(try_decode_frame(bytes.data(), len, out, consumed),
+              DecodeStatus::kOk)
+        << "truncated to " << len;
+  }
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      TaskFrame out;
+      std::size_t consumed = 0;
+      EXPECT_NE(try_decode_frame(flipped.data(), flipped.size(), out,
+                                 consumed),
+                DecodeStatus::kOk)
+          << "bit " << bit << " of byte " << byte;
+    }
+  }
 }
 
 }  // namespace

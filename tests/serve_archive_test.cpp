@@ -83,6 +83,18 @@ TEST(CandidateRecordCodec, RoundTrips) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(CandidateRecordCodec, RejectsTruncationAtEveryLength) {
+  Rng rng(2);
+  WireWriter w;
+  append_candidate_record(w, make_record(rng, 0));
+  const std::string& buffer = w.buffer();
+  for (std::size_t len = 0; len < buffer.size(); ++len) {
+    WireReader r(buffer.data(), len);
+    EXPECT_THROW(decode_candidate_record(r), std::runtime_error)
+        << "prefix length " << len;
+  }
+}
+
 TEST(CandidateRecordCodec, RejectsMalformedKey) {
   // A record whose key field is not an ObservationId::key() spelling.
   std::string buffer;
@@ -130,6 +142,22 @@ TEST(SegmentFile, RoundTripsEmptySegment) {
   const std::string path = (dir.path / "e.seg").string();
   write_segment_file(path, {});
   EXPECT_TRUE(read_segment_file(path).empty());
+}
+
+TEST(SegmentFile, RejectsTruncation) {
+  TempDir dir;
+  Rng rng(5);
+  std::vector<CandidateRecord> records{make_record(rng, 1)};
+  const std::string path = (dir.path / "a.seg").string();
+  write_segment_file(path, records);
+  const auto size = static_cast<std::size_t>(fs::file_size(path));
+  std::ifstream in(path, std::ios::binary);
+  std::string good(size, '\0');
+  in.read(good.data(), static_cast<std::streamsize>(size));
+  for (std::size_t keep = 0; keep < size; ++keep) {
+    std::ofstream(path, std::ios::binary).write(good.data(), keep);
+    EXPECT_THROW(read_segment_file(path), ArchiveError) << "kept " << keep;
+  }
 }
 
 TEST(Archive, AppendSealQueryAndReopen) {
