@@ -77,7 +77,7 @@ void BM_Cv_RF(benchmark::State& state) {
 }
 BENCHMARK(BM_Cv_RF)->Args({600, 2});
 
-// Fold-parallel path: same folds on the work-stealing pool. Tracks the
+// Fold-parallel path: same folds on the parallel_for pool. Tracks the
 // dispatch overhead on top of BM_Cv_J48 (wall-clock gains need >1 core).
 void BM_Cv_J48_Threads4(benchmark::State& state) {
   cv_learner(state, LearnerType::kJ48, 4);

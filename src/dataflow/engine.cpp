@@ -87,7 +87,7 @@ double JobMetrics::total_wall_seconds() const {
 std::string JobMetrics::summary() const {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"stage", "tasks", "records_in", "bytes_in", "shuffle_bytes",
-                  "spill_bytes", "compute_cost", "retries", "stolen",
+                  "spill_bytes", "compute_cost", "retries", "wall_s",
                   "deaths", "ipc_bytes", "pool_reuses", "resident_bytes"});
   for (const auto& s : stages) {
     rows.push_back({s.name, std::to_string(s.tasks.size()),
@@ -97,7 +97,7 @@ std::string JobMetrics::summary() const {
                     std::to_string(s.total_spill_bytes()),
                     std::to_string(s.total_compute_cost()),
                     std::to_string(s.total_retries()),
-                    std::to_string(s.tasks_stolen),
+                    format_number(s.wall_seconds, 3),
                     std::to_string(s.worker_deaths),
                     std::to_string(s.ipc_bytes),
                     std::to_string(s.pool_reuses),
@@ -116,7 +116,6 @@ Engine::Engine(EngineConfig config)
       retries_counter_(obs::global_counters().counter("engine.task_retries")),
       failures_counter_(
           obs::global_counters().counter("engine.task_failures")),
-      stolen_counter_(obs::global_counters().counter("engine.tasks_stolen")),
       parks_counter_(obs::global_counters().counter("engine.parks")),
       fastpath_counter_(
           obs::global_counters().counter("engine.fastpath_completions")),
@@ -175,18 +174,14 @@ void Engine::run_stage(StageMetrics& stage,
                                     wall_start)
           .count();
   const SchedulerStats pool_after = pool_.stats();
-  const std::uint64_t stolen = pool_after.tasks_stolen - pool_before.tasks_stolen;
   const std::uint64_t parks = pool_after.parks - pool_before.parks;
   const std::uint64_t fastpath =
       pool_after.fastpath_completions - pool_before.fastpath_completions;
-  stage.tasks_stolen += stolen;
   stage.parks += parks;
   stage.fastpath_completions += fastpath;
-  stolen_counter_.add(static_cast<std::int64_t>(stolen));
   parks_counter_.add(static_cast<std::int64_t>(parks));
   fastpath_counter_.add(static_cast<std::int64_t>(fastpath));
   if (tracer_.enabled()) {
-    stage_span.arg("tasks_stolen", static_cast<std::int64_t>(stolen));
     stage_span.arg("parks", static_cast<std::int64_t>(parks));
     stage_span.arg("fastpath_completions", static_cast<std::int64_t>(fastpath));
   }

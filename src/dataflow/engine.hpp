@@ -149,10 +149,10 @@ class Engine {
                  const std::function<void(TaskContext&)>& body,
                  PoolStagePlan* plan = nullptr);
 
-  /// The residency surface of a job-pool backend, nullptr on every other
-  /// backend. Transformations probe this to decide whether building a
-  /// PoolStagePlan is worth anything.
-  PoolResidency* pool_residency() { return executor_->residency(); }
+  /// True when the backend runs stages on a job-lifetime worker pool.
+  /// Transformations probe this to decide whether building a PoolStagePlan
+  /// is worth anything.
+  bool has_worker_pool() const { return executor_->has_worker_pool(); }
 
   /// The backend actually executing stage tasks (resolved from config().exec
   /// at construction; a TSan build downgrades process to local).
@@ -182,7 +182,6 @@ class Engine {
   obs::CounterRegistry::Counter& tasks_counter_;
   obs::CounterRegistry::Counter& retries_counter_;
   obs::CounterRegistry::Counter& failures_counter_;
-  obs::CounterRegistry::Counter& stolen_counter_;
   obs::CounterRegistry::Counter& parks_counter_;
   obs::CounterRegistry::Counter& fastpath_counter_;
   obs::CounterRegistry::Counter& workers_forked_counter_;

@@ -1,7 +1,6 @@
 #include "dataflow/executor.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "dataflow/engine.hpp"
 
@@ -35,10 +34,7 @@ void LocalExecutor::run_stage_tasks(StageRun run) {
         if (attempt + 1 >= max_attempts) {
           engine.failures_counter_.add();
           task_span.arg("failed", true);
-          throw TaskFailure("task failed permanently after " +
-                            std::to_string(attempt + 1) +
-                            " attempts: stage=" + stage.name +
-                            " partition=" + std::to_string(p));
+          throw TaskFailure::exhausted(stage.name, p, attempt + 1);
         }
         continue;  // the reattempt backoff is modeled, not slept
       }

@@ -5,7 +5,7 @@
 // an Executor so the scheduler drives every backend identically:
 //
 //   * LocalExecutor — the default and the byte-identity oracle: one task per
-//     partition on the engine's in-process work-stealing pool.
+//     partition on the engine's in-process parallel_for pool.
 //   * ProcessExecutor (dataflow/ipc/process_executor.hpp) — the front of a
 //     job-lifetime WorkerPool (dataflow/ipc/pool.hpp) of forked worker
 //     processes. Stages that ship a PoolStagePlan run on the pool; every
@@ -135,14 +135,6 @@ struct PoolStagePlan {
   std::shared_ptr<PoolSet> out;
 };
 
-/// Residency interface a pooled executor exposes; null on every other
-/// backend. Transformations use its presence to decide whether to build a
-/// PoolStagePlan at all.
-class PoolResidency {
- public:
-  virtual ~PoolResidency() = default;
-};
-
 /// One stage execution handed from Engine::run_stage to the executor.
 struct StageRun {
   StageMetrics& stage;
@@ -169,12 +161,12 @@ class Executor {
   /// first body exception otherwise.
   virtual void run_stage_tasks(StageRun run) = 0;
 
-  /// The partition-residency surface of a job-pool backend; nullptr
-  /// everywhere else (local backend, TSan fallback).
-  virtual PoolResidency* residency() { return nullptr; }
+  /// True for a job-pool backend that runs PoolStagePlans with resident
+  /// outputs; false everywhere else (local backend, TSan fallback).
+  virtual bool has_worker_pool() const { return false; }
 };
 
-/// In-process backend. Tasks fan out over the engine's work-stealing pool;
+/// In-process backend. Tasks fan out over the engine's parallel_for pool;
 /// injected failures kill an attempt at launch and are retried with the
 /// wasted work recorded in attempts/retry_cost. Pool plans are ignored.
 class LocalExecutor : public Executor {

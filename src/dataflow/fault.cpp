@@ -24,6 +24,14 @@ std::uint64_t fnv1a64_u64(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
+TaskFailure TaskFailure::exhausted(const std::string& stage,
+                                   std::size_t partition,
+                                   std::size_t attempts) {
+  return TaskFailure("task failed permanently after " +
+                     std::to_string(attempts) + " attempts: stage=" + stage +
+                     " partition=" + std::to_string(partition));
+}
+
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
 double FaultInjector::site_draw(const char* kind, const std::string& name,

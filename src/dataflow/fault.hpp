@@ -23,6 +23,11 @@ namespace drapid {
 /// the retry loop when a task exhausts its attempt budget).
 struct TaskFailure : std::runtime_error {
   using std::runtime_error::runtime_error;
+
+  /// The failure every backend throws once `partition` of `stage` has used
+  /// up its attempt budget ("task failed permanently after N attempts: ...").
+  static TaskFailure exhausted(const std::string& stage, std::size_t partition,
+                               std::size_t attempts);
 };
 
 /// One planned worker-process kill: during any stage whose name starts with

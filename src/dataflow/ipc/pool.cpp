@@ -31,14 +31,6 @@ constexpr std::uint64_t kDieBeforeFlag = 1;   ///< kTaskAssign flags bit
 constexpr std::uint64_t kInputInline = 0;     ///< kTaskAssign input modes
 constexpr std::uint64_t kInputResident = 1;
 
-std::string permanent_failure_message(const std::string& stage,
-                                      std::size_t partition,
-                                      std::size_t attempts) {
-  return "task failed permanently after " + std::to_string(attempts) +
-         " attempts: stage=" + stage +
-         " partition=" + std::to_string(partition);
-}
-
 /// Writes the whole buffer with blocking write(2); child side only.
 bool write_all(int fd, const char* data, std::size_t size) {
   while (size > 0) {
@@ -233,8 +225,7 @@ void child_handle_assign(ChildState& st, const TaskFrame& frame) {
       task.attempts = attempt + 1;
       if (st.faults->fail_task(stage.name, p, attempt)) {
         if (attempt + 1 >= stage.max_attempts) {
-          throw TaskFailure(
-              permanent_failure_message(stage.name, p, attempt + 1));
+          throw TaskFailure::exhausted(stage.name, p, attempt + 1);
         }
         continue;  // the reattempt backoff is modeled, not slept
       }
@@ -767,8 +758,8 @@ void WorkerPool::handle_death(PoolWorker& w) {
     }
     if (t.attempt_base >= ctx.max_attempts) {
       engine_.failures_counter_.add();
-      throw TaskFailure(permanent_failure_message(ctx.stage.name, t.partition,
-                                                  t.attempt_base));
+      throw TaskFailure::exhausted(ctx.stage.name, t.partition,
+                                   t.attempt_base);
     }
   }
   if (pending.empty()) return;  // nothing to redo; respawn lazily
@@ -797,6 +788,23 @@ void WorkerPool::enqueue(PoolWorker& w, std::string bytes) {
   } else {
     w.outbuf.append(bytes);
   }
+  flush(w);
+}
+
+void WorkerPool::enqueue_frame(PoolWorker& w, const ipc::TaskFrame& frame,
+                               const std::vector<FrameSpan>& spans) {
+  if (!w.alive) return;  // death recovery re-dispatches separately
+  const ipc::FrameParts parts =
+      ipc::encode_frame_parts(frame, spans.data(), spans.size());
+  std::size_t total = parts.header.size() + parts.trailer.size();
+  for (const auto& s : spans) total += s.size;
+  count_ipc(total);
+  // The only copy of the span bytes: the send buffer must own them, since a
+  // nonblocking send may leave them queued past this call.
+  w.outbuf.reserve(w.outbuf.size() + total);
+  w.outbuf.append(parts.header);
+  for (const auto& s : spans) w.outbuf.append(s.data, s.size);
+  w.outbuf.append(parts.trailer);
   flush(w);
 }
 
@@ -1055,20 +1063,27 @@ void WorkerPool::send_assign(PoolWorker& w, std::size_t task,
   // Resolve each declared input against current residency: a partition
   // already resident on the assignee rides as a (set, partition) marker;
   // everything else ships inline — parent cache, chain-head bytes, or a
-  // lineage rebuild if the holder died.
+  // lineage rebuild if the holder died. The payload is the count piece,
+  // then per input its mode piece plus, for inline inputs, a span over the
+  // input bytes themselves.
   const auto& refs = ctx.inputs[task];
+  // Reserved up front so the spans into `pieces` and `fetched` stay valid.
   std::vector<std::string> pieces;
-  std::vector<FrameSpan> spans;
-  std::vector<const std::string*> payloads;  // parallel to spans
   pieces.reserve(refs.size() + 1);
   std::vector<std::string> fetched;
   fetched.reserve(refs.size());
+  std::vector<FrameSpan> spans;
+  spans.reserve(2 * refs.size() + 1);
+  const auto add_piece = [&](WireWriter& pw) {
+    pieces.push_back(pw.take());
+    spans.push_back({pieces.back().data(), pieces.back().size()});
+  };
   {
     WireWriter pw;
     pw.put_u64(attempt_base);
     pw.put_u64(die_before ? kDieBeforeFlag : 0);
     pw.put_u64(refs.size());
-    pieces.push_back(pw.take());
+    add_piece(pw);
   }
   for (const auto& ref : refs) {
     const std::string* inline_bytes = nullptr;
@@ -1080,12 +1095,12 @@ void WorkerPool::send_assign(PoolWorker& w, std::size_t task,
         pw.put_u64(kInputResident);
         pw.put_u64(ref.set->id);
         pw.put_u64(ref.partition);
-        pieces.push_back(pw.take());
+        add_piece(pw);
         continue;
       }
       // May pump (fetch from another worker) and even observe this very
-      // worker dying; enqueue below then drops the frame and the death
-      // path re-dispatches the task with a bumped attempt_base.
+      // worker dying; enqueue_frame below then drops the frame and the
+      // death path re-dispatches the task with a bumped attempt_base.
       fetched.push_back(core_->fetch(ref.set->id, ref.partition));
       inline_bytes = &fetched.back();
     } else {
@@ -1094,40 +1109,13 @@ void WorkerPool::send_assign(PoolWorker& w, std::size_t task,
     WireWriter pw;
     pw.put_u64(kInputInline);
     pw.put_u64(inline_bytes->size());
-    pieces.push_back(pw.take());
-    payloads.push_back(inline_bytes);
-  }
-  // Interleave: pieces[0], then per input its mode piece (+ payload span for
-  // inline ones). Spans reference `pieces`/`fetched`/plan-held strings, all
-  // alive until the enqueue below.
-  std::size_t piece_idx = 0;
-  std::size_t payload_idx = 0;
-  spans.push_back({pieces[piece_idx].data(), pieces[piece_idx].size()});
-  piece_idx += 1;
-  for (const auto& ref : refs) {
-    spans.push_back({pieces[piece_idx].data(), pieces[piece_idx].size()});
-    const bool resident =
-        ref.set &&
-        pieces[piece_idx].size() == 3 * sizeof(std::uint64_t);
-    piece_idx += 1;
-    if (!resident) {
-      const std::string* bytes = payloads[payload_idx++];
-      spans.push_back({bytes->data(), bytes->size()});
-    }
+    add_piece(pw);
+    spans.push_back({inline_bytes->data(), inline_bytes->size()});
   }
   ipc::TaskFrame frame;
   frame.kind = FrameKind::kTaskAssign;
   frame.partition = task;
-  const ipc::FrameParts parts =
-      ipc::encode_frame_parts(frame, spans.data(), spans.size());
-  std::size_t total = parts.header.size() + parts.trailer.size();
-  for (const auto& s : spans) total += s.size;
-  std::string bytes;
-  bytes.reserve(total);
-  bytes.append(parts.header);
-  for (const auto& s : spans) bytes.append(s.data, s.size);
-  bytes.append(parts.trailer);
-  enqueue(w, std::move(bytes));
+  enqueue_frame(w, frame, spans);
 }
 
 void WorkerPool::send_stage_end(PoolWorker& w) {

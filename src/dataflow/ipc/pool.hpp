@@ -126,10 +126,10 @@ class PoolRegistryCore {
 };
 
 /// The job-lifetime pool. One per ProcessExecutor.
-class WorkerPool : public PoolResidency {
+class WorkerPool {
  public:
   WorkerPool(Engine& engine, std::size_t workers);
-  ~WorkerPool() override;
+  ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -173,6 +173,10 @@ class WorkerPool : public PoolResidency {
   void retire(PoolWorker& w);
   void handle_death(PoolWorker& w);
   void enqueue(PoolWorker& w, std::string bytes);
+  /// Encodes `frame` with `spans` as its payload straight into w's send
+  /// buffer (one copy of the span bytes).
+  void enqueue_frame(PoolWorker& w, const ipc::TaskFrame& frame,
+                     const std::vector<FrameSpan>& spans);
   void flush(PoolWorker& w);
   /// One poll round: flush pending sends, read, decode, dispatch frames.
   /// Re-entered only from top-level waits (fetches), never from inside a

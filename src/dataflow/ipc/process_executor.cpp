@@ -27,8 +27,6 @@ ProcessExecutor::ProcessExecutor(Engine& engine, std::size_t workers)
 
 ProcessExecutor::~ProcessExecutor() = default;
 
-PoolResidency* ProcessExecutor::residency() { return pool_.get(); }
-
 void ProcessExecutor::run_stage_tasks(StageRun run) {
   if (run.plan != nullptr && run.plan->kernel != nullptr &&
       !run.stage.tasks.empty()) {

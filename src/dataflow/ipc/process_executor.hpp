@@ -37,7 +37,7 @@ class ProcessExecutor : public Executor {
   const char* name() const override { return "process"; }
   std::size_t workers() const override { return workers_; }
   void run_stage_tasks(StageRun run) override;
-  PoolResidency* residency() override;
+  bool has_worker_pool() const override { return true; }
 
  private:
   std::size_t workers_;

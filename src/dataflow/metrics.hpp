@@ -51,7 +51,6 @@ struct StageMetrics {
   // the pool; when lineage recomputation nests a stage inside a running one,
   // both stages observe the overlapping activity (attribution is by
   // wall-clock overlap, not causality).
-  std::size_t tasks_stolen = 0;
   std::size_t parks = 0;
   std::size_t fastpath_completions = 0;
 

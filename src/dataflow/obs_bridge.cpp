@@ -35,7 +35,6 @@ obs::JobReport make_job_report(std::string label, const JobMetrics& metrics,
     row.compute_cost = static_cast<double>(stage.total_compute_cost());
     row.retries = stage.total_retries();
     row.retry_cost = static_cast<double>(stage.total_retry_cost());
-    row.tasks_stolen = stage.tasks_stolen;
     row.parks = stage.parks;
     row.fastpath_completions = stage.fastpath_completions;
     row.workers_used = stage.workers_used;

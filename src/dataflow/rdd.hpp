@@ -525,7 +525,7 @@ std::function<std::vector<PoolInputRef>(std::size_t)> pool_inputs(
 
 /// Body stub for plan-backed stages. The pool backend never invokes the
 /// body; any other backend reaching this indicates a mis-gated plan (plans
-/// are only built when pool_residency() is non-null), so fail loudly rather
+/// are only built when has_worker_pool() is true), so fail loudly rather
 /// than silently producing empty partitions.
 inline std::function<void(TaskContext&)> unpooled_body() {
   return [](TaskContext&) {
@@ -548,7 +548,7 @@ auto run_narrow(Engine& engine, const std::string& name, InRdd& in,
   out.partitioner_id = partitioner_id;
   auto& stage = engine.begin_stage(name, in.num_partitions());
   if constexpr (std::is_trivially_copyable_v<Spec>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
+    if (engine.has_worker_pool() && in.num_partitions() > 0) {
       PoolStagePlan plan;
       plan.kernel = &narrow_kernel<Spec, typename InRdd::Pair, Part>;
       plan.closure = pool_closure_bytes(spec);
@@ -632,7 +632,7 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
   out.partitioner_id = partitioner.id();
   auto& stage = engine.begin_stage(name, sources);
 
-  if (engine.pool_residency() != nullptr) {
+  if (engine.has_worker_pool()) {
     // Worker-routed shuffle: each source task runs the wide kernel, keeps
     // the segments owned by its own worker slot and pushes the rest
     // worker-to-worker through the parent. The shuffled records never enter
@@ -793,7 +793,7 @@ Rdd<K, std::pair<V, std::optional<W>>> left_outer_join(
   out.partitions.resize(partitioner.num_partitions);
   out.partitioner_id = partitioner.id();
   auto& stage = engine.begin_stage(name, partitioner.num_partitions);
-  if (engine.pool_residency() != nullptr && partitioner.num_partitions > 0) {
+  if (engine.has_worker_pool() && partitioner.num_partitions > 0) {
     // Both sides conform to `partitioner` here, and conforming sets produced
     // by the pool's wide stages place partition p on the same worker slot —
     // so a co-partitioned join reads both inputs locally in the worker.

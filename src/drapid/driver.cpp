@@ -76,7 +76,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
   rdd.partitions.resize(chunks.size());
   auto& stage =
       engine.begin_stage(stage_prefix + "load:" + name, chunks.size());
-  if (engine.pool_residency() != nullptr && !chunks.empty()) {
+  if (engine.has_worker_pool() && !chunks.empty()) {
     // Ship the raw chunk text to the pool; the parsed partitions never
     // travel back — downstream stages consume them worker-resident.
     PoolStagePlan plan;
@@ -343,7 +343,7 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
   StringRdd ml_rows;
   ml_rows.partitions.resize(joined.num_partitions());
   auto& search_stage = engine.begin_stage("search", joined.num_partitions());
-  if (engine.pool_residency() != nullptr && joined.num_partitions() > 0) {
+  if (engine.has_worker_pool() && joined.num_partitions() > 0) {
     // The grid cannot ship as a pointer: send its plan by value and rebuild
     // it in the worker.
     PoolStagePlan plan;

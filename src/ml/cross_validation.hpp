@@ -5,7 +5,7 @@
 // stratified so each preserves the class distribution, which matters at the
 // paper's 0.05 % positive rate.
 //
-// Folds are independent, so cross_validate can run them on a work-stealing
+// Folds are independent, so cross_validate can run them on a parallel_for
 // thread pool (CvOptions::threads). Results are identical for every thread
 // count: fold membership and each fold's transform RNG stream are drawn up
 // front, folds write only fold-local state, and totals are reduced in fold

@@ -22,8 +22,7 @@ constexpr StageField kStageFields[] = {
     {"bytes_out", false},     {"shuffle_bytes", false},
     {"spill_bytes", false},   {"compute_cost", true},
     {"retries", false},       {"retry_cost", true},
-    {"tasks_stolen", false},  {"parks", false},
-    {"fastpath_completions", false},
+    {"parks", false},         {"fastpath_completions", false},
     {"workers_used", false},  {"worker_deaths", false},
     {"ipc_bytes", false},     {"pool_reuses", false},
     {"resident_bytes", false},
@@ -42,7 +41,6 @@ double stage_field(const StageReport& s, const char* name) {
   if (f == "spill_bytes") return static_cast<double>(s.spill_bytes);
   if (f == "compute_cost") return s.compute_cost;
   if (f == "retries") return static_cast<double>(s.retries);
-  if (f == "tasks_stolen") return static_cast<double>(s.tasks_stolen);
   if (f == "parks") return static_cast<double>(s.parks);
   if (f == "fastpath_completions") {
     return static_cast<double>(s.fastpath_completions);
@@ -72,7 +70,6 @@ Json StageReport::to_json() const {
   row.set("compute_cost", compute_cost);
   row.set("retries", retries);
   row.set("retry_cost", retry_cost);
-  row.set("tasks_stolen", tasks_stolen);
   row.set("parks", parks);
   row.set("fastpath_completions", fastpath_completions);
   row.set("workers_used", workers_used);

@@ -31,9 +31,8 @@ struct StageReport {
   double compute_cost = 0.0;
   std::uint64_t retries = 0;  ///< attempts beyond the first, summed
   double retry_cost = 0.0;
-  /// Work-stealing scheduler activity while the stage ran (deltas of the
+  /// Thread-pool scheduler activity while the stage ran (deltas of the
   /// pool's SchedulerStats, see util/thread_pool.hpp).
-  std::uint64_t tasks_stolen = 0;
   std::uint64_t parks = 0;
   std::uint64_t fastpath_completions = 0;
   /// Process-backend activity (all zero on the local backend or when the

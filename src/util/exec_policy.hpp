@@ -19,7 +19,7 @@ namespace drapid {
 
 /// Which executor implementation runs stage tasks.
 enum class ExecBackend {
-  kLocal,    ///< in-process work-stealing pool (the default; PR 3 scheduler)
+  kLocal,    ///< in-process parallel_for pool (the default)
   kProcess,  ///< job-lifetime pool of forked workers over Unix-domain sockets
 };
 

@@ -1,45 +1,16 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <array>
 #include <exception>
 #include <utility>
 
 namespace drapid {
 
-namespace {
-
-/// Which pool (if any) owns the current thread, and its worker index there.
-/// Lets enqueue() take the lock-free owner-push path and lets nested
-/// parallel_for help from the right deque.
-struct WorkerTls {
-  const void* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerTls tls_worker;
-
-}  // namespace
-
-// --- Task representation -----------------------------------------------------
-
-struct ThreadPool::Task {
-  virtual ~Task() = default;
-  /// Must not throw: closure errors are captured in the future, loop errors
-  /// in the loop's join state.
-  virtual void run(ThreadPool& pool) = 0;
-};
-
-struct ThreadPool::ClosureTask final : Task {
-  explicit ClosureTask(std::function<void()> fn) : work(std::move(fn)) {}
-  std::packaged_task<void()> work;
-  void run(ThreadPool&) override { work(); }  // packaged_task captures throws
-};
-
 /// Join-side state of one parallel_for. Chunks are claimed from `next`;
 /// completion is reported through `remaining` — lock-free except for the
 /// last chunk, which takes `mutex` once to publish completion to a parked
-/// caller. Heap-shared so a stale ticket executed after the caller returned
-/// finds an exhausted counter instead of a dead stack frame.
+/// caller. Heap-shared so a stale ticket run after the caller returned finds
+/// an exhausted counter instead of a dead stack frame.
 struct ThreadPool::Loop {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
@@ -52,221 +23,48 @@ struct ThreadPool::Loop {
   std::exception_ptr first_error;
 };
 
-/// One queued invitation for a worker to join a loop. parallel_for enqueues
-/// at most thread_count() of these regardless of how many chunks the loop
-/// has — the batching that replaces the old one-queue-entry-per-chunk plan.
-struct ThreadPool::TicketTask final : Task {
-  explicit TicketTask(std::shared_ptr<Loop> l) : loop(std::move(l)) {}
-  std::shared_ptr<Loop> loop;
-  void run(ThreadPool& pool) override { pool.run_loop(*loop); }
-};
-
-// --- Per-worker Chase-Lev-style deque ---------------------------------------
-
-/// Fixed-capacity work-stealing deque. The owner pushes/pops the bottom end
-/// without locks; thieves CAS the top end. Capacity overflow (push returns
-/// false) falls back to the injection queue — with at most thread_count()
-/// tickets per loop plus submits, 1024 slots are never the limit in
-/// practice. All synchronization is through atomics (no standalone fences,
-/// which ThreadSanitizer cannot model): the owner publishes a task with a
-/// release store of `bottom`, and a thief's acquire load of `bottom` makes
-/// the task's bytes visible before its CAS claims the slot.
-struct ThreadPool::Worker {
-  static constexpr std::size_t kCapacity = 1024;  // power of two
-  static constexpr std::int64_t kMask = static_cast<std::int64_t>(kCapacity) - 1;
-
-  alignas(64) std::atomic<std::int64_t> top{0};
-  alignas(64) std::atomic<std::int64_t> bottom{0};
-  std::array<std::atomic<Task*>, kCapacity> slots{};
-
-  /// Owner only. False when full (caller reroutes to the injection queue).
-  bool push(Task* task) {
-    const std::int64_t b = bottom.load(std::memory_order_relaxed);
-    const std::int64_t t = top.load(std::memory_order_acquire);
-    if (b - t >= static_cast<std::int64_t>(kCapacity)) return false;
-    slots[b & kMask].store(task, std::memory_order_relaxed);
-    bottom.store(b + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Owner only.
-  Task* pop() {
-    const std::int64_t b = bottom.load(std::memory_order_relaxed) - 1;
-    bottom.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top.load(std::memory_order_seq_cst);
-    if (t <= b) {
-      Task* task = slots[b & kMask].load(std::memory_order_relaxed);
-      if (t == b) {
-        // Last element: race the thieves for it.
-        if (!top.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                         std::memory_order_relaxed)) {
-          task = nullptr;  // a thief won
-        }
-        bottom.store(b + 1, std::memory_order_relaxed);
-      }
-      return task;
-    }
-    bottom.store(b + 1, std::memory_order_relaxed);
-    return nullptr;
-  }
-
-  /// Any thread.
-  Task* steal() {
-    std::int64_t t = top.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Task* task = slots[t & kMask].load(std::memory_order_relaxed);
-    if (!top.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                     std::memory_order_relaxed)) {
-      return nullptr;  // lost the race; caller re-scans
-    }
-    return task;
-  }
-
-  bool looks_empty() const {
-    return top.load(std::memory_order_acquire) >=
-           bottom.load(std::memory_order_acquire);
-  }
-};
-
-// --- Pool lifecycle ----------------------------------------------------------
-
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(1, threads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_seq_cst);
   {
-    // Pair with the waiter's predicate check so no worker sleeps through
-    // the stop signal.
-    std::lock_guard lock(idle_mutex_);
+    std::lock_guard lock(mutex_);
+    stopping_ = true;
   }
-  idle_cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& thread : threads_) thread.join();
-  // Run anything still queued (e.g. tasks submitted while the pool was
-  // draining) on this thread so every future completes.
-  for (auto& worker : workers_) {
-    while (Task* task = worker->steal()) {
-      pending_.fetch_sub(1, std::memory_order_seq_cst);
-      task->run(*this);
-      delete task;
-    }
-  }
+  // Tickets still queued belong to loops that have already returned; their
+  // counters are exhausted, so dropping them loses no work.
+}
+
+void ThreadPool::worker_loop() {
   for (;;) {
-    Task* task = nullptr;
-    {
-      std::lock_guard lock(injection_mutex_);
-      if (injection_.empty()) break;
-      task = injection_.front();
-      injection_.pop_front();
-    }
-    pending_.fetch_sub(1, std::memory_order_seq_cst);
-    task->run(*this);
-    delete task;
-  }
-}
-
-std::size_t ThreadPool::self_index() const {
-  return tls_worker.pool == this ? tls_worker.index : kNoWorker;
-}
-
-// --- Enqueue / wakeup --------------------------------------------------------
-
-void ThreadPool::enqueue(Task* task) {
-  const std::size_t self = self_index();
-  if (self == kNoWorker || !workers_[self]->push(task)) {
-    std::lock_guard lock(injection_mutex_);
-    injection_.push_back(task);
-  }
-  pending_.fetch_add(1, std::memory_order_seq_cst);
-  wake_workers();
-}
-
-void ThreadPool::wake_workers() {
-  if (idle_waiters_.load(std::memory_order_seq_cst) > 0) {
-    // Taking the mutex orders this notify against the waiter's predicate
-    // check, closing the check-then-sleep window.
-    std::lock_guard lock(idle_mutex_);
-    idle_cv_.notify_all();
-  }
-}
-
-// --- Find / run --------------------------------------------------------------
-
-ThreadPool::Task* ThreadPool::find_task(std::size_t self) {
-  if (self != kNoWorker) {
-    if (Task* task = workers_[self]->pop()) {
-      pending_.fetch_sub(1, std::memory_order_seq_cst);
-      return task;
-    }
-  }
-  {
-    std::lock_guard lock(injection_mutex_);
-    if (!injection_.empty()) {
-      Task* task = injection_.front();
-      injection_.pop_front();
-      pending_.fetch_sub(1, std::memory_order_seq_cst);
-      return task;
-    }
-  }
-  const std::size_t count = workers_.size();
-  for (std::size_t round = 0; round < 2; ++round) {
-    for (std::size_t offset = 1; offset <= count; ++offset) {
-      const std::size_t victim =
-          (self == kNoWorker ? offset - 1 : (self + offset) % count);
-      if (victim == self || victim >= count) continue;
-      if (Task* task = workers_[victim]->steal()) {
-        pending_.fetch_sub(1, std::memory_order_seq_cst);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return task;
-      }
-    }
-  }
-  return nullptr;
-}
-
-bool ThreadPool::run_one(std::size_t self) {
-  Task* task = find_task(self);
-  if (!task) return false;
-  task->run(*this);
-  delete task;
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
-  tls_worker = {this, index};
-  for (;;) {
-    if (run_one(index)) continue;
-    std::unique_lock lock(idle_mutex_);
-    if (stopping_.load(std::memory_order_seq_cst)) return;
-    if (pending_.load(std::memory_order_seq_cst) > 0) continue;  // re-scan
-    idle_waiters_.fetch_add(1, std::memory_order_seq_cst);
+    if (run_ticket()) continue;
+    std::unique_lock lock(mutex_);
+    if (stopping_) return;
+    if (!tickets_.empty()) continue;  // enqueued since run_ticket looked
+    ++idle_workers_;
     parks_.fetch_add(1, std::memory_order_relaxed);
-    idle_cv_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_seq_cst) ||
-             pending_.load(std::memory_order_seq_cst) > 0;
-    });
-    idle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-    if (stopping_.load(std::memory_order_seq_cst)) return;
+    work_cv_.wait(lock, [this] { return stopping_ || !tickets_.empty(); });
+    --idle_workers_;
   }
 }
 
-// --- submit / parallel_for ---------------------------------------------------
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto* closure = new ClosureTask(std::move(task));
-  std::future<void> future = closure->work.get_future();
-  enqueue(closure);
-  return future;
+bool ThreadPool::run_ticket() {
+  std::shared_ptr<Loop> loop;
+  {
+    std::lock_guard lock(mutex_);
+    if (tickets_.empty()) return false;
+    loop = std::move(tickets_.front());
+    tickets_.pop_front();
+  }
+  run_loop(*loop);
+  return true;
 }
 
 void ThreadPool::run_loop(Loop& loop) {
@@ -317,18 +115,19 @@ void ThreadPool::parallel_for(std::size_t n,
   // one queue entry per chunk. A single-chunk loop runs inline for free.
   if (num_chunks > 1) {
     const std::size_t tickets = std::min(thread_count(), num_chunks - 1);
-    for (std::size_t i = 0; i < tickets; ++i) {
-      enqueue(new TicketTask(loop));
+    std::lock_guard lock(mutex_);
+    tickets_.insert(tickets_.end(), tickets, loop);
+    for (std::size_t i = std::min(tickets, idle_workers_); i > 0; --i) {
+      work_cv_.notify_one();
     }
   }
 
   // The caller claims chunks of its own loop directly — this is what makes
-  // nesting deadlock-free on any pool size — then helps with other queued
-  // work, and only parks when nothing is runnable anywhere.
+  // nesting deadlock-free on any pool size — then helps with queued
+  // tickets, and only parks when none is left.
   run_loop(*loop);
-  const std::size_t self = self_index();
   while (loop->remaining.load(std::memory_order_acquire) != 0) {
-    if (run_one(self)) continue;
+    if (run_ticket()) continue;
     std::unique_lock lock(loop->mutex);
     if (loop->remaining.load(std::memory_order_acquire) != 0) {
       parks_.fetch_add(1, std::memory_order_relaxed);
@@ -353,7 +152,6 @@ void ThreadPool::parallel_for(std::size_t n,
 
 SchedulerStats ThreadPool::stats() const {
   SchedulerStats stats;
-  stats.tasks_stolen = steals_.load(std::memory_order_relaxed);
   stats.parks = parks_.load(std::memory_order_relaxed);
   stats.fastpath_completions = fastpath_.load(std::memory_order_relaxed);
   return stats;

@@ -3,29 +3,34 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace drapid {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
+/// Spins until done() holds; false after 30 s, so a scheduling bug fails
+/// the test instead of hanging it.
+template <typename Pred>
+bool spin_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
+  return true;
 }
 
 TEST(ThreadPool, AtLeastOneThreadEvenWhenAskedForZero) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 1u);
-  auto f = pool.submit([] {});
-  f.get();
+  std::atomic<int> hits{0};
+  pool.parallel_for(8, [&hits](std::size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 8);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -49,12 +54,6 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionViaFuture) {
-  ThreadPool pool(1);
-  auto f = pool.submit([] { throw std::logic_error("bad"); });
-  EXPECT_THROW(f.get(), std::logic_error);
-}
-
 // Regression: parallel_for used to deadlock when called from inside a pool
 // task (the lone worker blocked waiting for chunks only it could run). The
 // waiting caller now helps drain the queue, so nesting completes even on a
@@ -68,13 +67,28 @@ TEST(ThreadPool, NestedParallelForOnOneThreadPoolCompletes) {
   EXPECT_EQ(inner_hits.load(), 4 * 8);
 }
 
+// A loop ticket is the pool's only submitted task. The lone worker runs the
+// outer loop's ticket and calls parallel_for from inside it, so it is both
+// the inner loop's caller and the only worker that could join it.
 TEST(ThreadPool, ParallelForInsideSubmittedTaskCompletes) {
   ThreadPool pool(1);
+  const auto main_thread = std::this_thread::get_id();
+  // Each thread holds its outer chunk until the other has entered one, so
+  // exactly one of the two chunks runs on the worker.
+  std::atomic<bool> main_entered{false};
+  std::atomic<bool> worker_entered{false};
+  std::atomic<int> met{0};
   std::atomic<int> hits{0};
-  auto f = pool.submit([&] {
-    pool.parallel_for(16, [&](std::size_t) { hits.fetch_add(1); });
+  pool.parallel_for(2, [&](std::size_t) {
+    const bool on_main = std::this_thread::get_id() == main_thread;
+    (on_main ? main_entered : worker_entered).store(true);
+    const auto& other = on_main ? worker_entered : main_entered;
+    if (spin_until([&] { return other.load(); })) met.fetch_add(1);
+    if (!on_main) {
+      pool.parallel_for(16, [&](std::size_t) { hits.fetch_add(1); });
+    }
   });
-  f.get();
+  EXPECT_EQ(met.load(), 2) << "the worker never ran the outer ticket";
   EXPECT_EQ(hits.load(), 16);
 }
 

@@ -310,7 +310,7 @@ int cmd_classify(int argc, const char* const argv[]) {
   }
   spec.smote = opts.flag("smote");
   spec.seed = static_cast<std::uint64_t>(opts.integer("seed"));
-  // Folds run on the work-stealing pool; any thread count reports
+  // Folds run on the parallel_for pool; any thread count reports
   // byte-identical scores.
   spec.cv_threads = static_cast<std::size_t>(opts.integer("cv-threads"));
 
