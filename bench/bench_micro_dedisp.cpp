@@ -108,7 +108,7 @@ void BM_DmSweepSubband(benchmark::State& state) {
 BENCHMARK(BM_DmSweepSubband)->Arg(1)->Arg(2);
 
 /// The dispatched accumulation kernel on a dedispersion-sized row — the
-/// inner loop both sweep methods and the streaming path run hottest.
+/// inner loop both sweep methods run hottest.
 void BM_KernelAccumulate(benchmark::State& state) {
   const std::size_t n = 5000;
   Rng rng(7);

@@ -44,8 +44,7 @@ void BM_ZeroDmSubtract(benchmark::State& state) {
     state.PauseTiming();
     fb = src;
     state.ResumeTiming();
-    zero_dm_subtract(fb.channel_data(0), fb.num_samples(), fb.num_channels(),
-                     0, fb.num_samples(), nullptr);
+    zero_dm_subtract(fb, nullptr);
     benchmark::DoNotOptimize(fb.channel_data(0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

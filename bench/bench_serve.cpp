@@ -1,7 +1,7 @@
-// Microbenchmarks for the streaming survey service: chunked ingest
-// throughput, archive query latency, segment I/O, and the mixed load of one
-// ingesting writer under four concurrent readers (whose results are checked
-// against a post-hoc full scan).
+// Microbenchmarks for the survey service: the sweep each ingest runs,
+// archive query latency, segment I/O, and the mixed load of one ingesting
+// writer under four concurrent readers (whose results are checked against a
+// post-hoc full scan).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "micro_support.hpp"
 
 #include "dedisp/single_pulse_search.hpp"
-#include "dedisp/streaming_sweep.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
 
@@ -66,25 +65,8 @@ struct BenchDir {
   }
 };
 
-/// Chunked streaming ingest of one observation (the serve.ingest hot path).
-void BM_StreamingIngest(benchmark::State& state) {
-  const Filterbank fb = bench_observation(1);
-  const std::size_t chunk = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    StreamingSweep sweep(fb.config(), bench_grid(), {});
-    const std::size_t total = sweep.total_samples();
-    for (std::size_t begin = 0; begin < total; begin += chunk) {
-      sweep.push(fb, begin, std::min(chunk, total - begin));
-    }
-    benchmark::DoNotOptimize(sweep.finalize());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fb.num_samples()));
-}
-BENCHMARK(BM_StreamingIngest)->Arg(512)->Arg(4096);
-
-/// One-shot sweep on the same data: the in-tree yardstick showing what the
-/// chunked path costs relative to having the whole observation resident.
+/// One whole-observation sweep: the work SurveyService::ingest does per
+/// observation before archiving.
 void BM_OneShotSweep(benchmark::State& state) {
   const Filterbank fb = bench_observation(1);
   for (auto _ : state) {
@@ -165,7 +147,6 @@ void BM_MixedIngestAndQuery(benchmark::State& state) {
   const DmGrid& grid = bench_grid();
   serve::SurveyServiceConfig config;
   config.filterbank = bench_config();
-  config.chunk_samples = 1024;
   std::vector<Filterbank> observations;
   for (int i = 0; i < kObservations; ++i) {
     observations.push_back(bench_observation(100 + i));
@@ -226,4 +207,4 @@ BENCHMARK(BM_MixedIngestAndQuery)->Unit(benchmark::kMillisecond);
 }  // namespace drapid
 
 DRAPID_MICRO_MAIN("bench_serve",
-                  "Micro-benchmarks for the streaming survey service: chunked ingest, archive queries, segment I/O, and mixed reader/writer load.")
+                  "Micro-benchmarks for the survey service: ingest sweep, archive queries, segment I/O, and mixed reader/writer load.")

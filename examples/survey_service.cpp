@@ -1,8 +1,7 @@
-// End-to-end tour of the streaming survey service: observations are
-// submitted to a SurveyService, ingested in fixed-size chunks through the
-// StreamingSweep, and their candidates sealed into a checksummed on-disk
-// archive that answers DM-range / S/N / time-window / key queries while the
-// writer is still busy.
+// End-to-end tour of the survey service: observations are submitted to a
+// SurveyService, each swept whole by single_pulse_search, and their
+// candidates sealed into a checksummed on-disk archive that answers
+// DM-range / S/N / time-window / key queries while the writer is still busy.
 //
 //   ./examples/survey_service [--observations N] [--seed N] [--dir PATH]
 #include <filesystem>
@@ -34,8 +33,8 @@ int main(int argc, char** argv) {
                {{"observations", "3"}, {"seed", "11"}, {"dir", ""}});
   if (opts.help_requested()) {
     std::cout << opts.usage("survey_service",
-                            "Streaming survey service demo: chunked ingest "
-                            "into a queryable candidate archive.");
+                            "Survey service demo: observation ingest into "
+                            "a queryable candidate archive.");
     return 0;
   }
   const int observations = static_cast<int>(opts.integer("observations"));
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
   config.filterbank.num_channels = 32;
   config.filterbank.sample_time_ms = 2.0;
   config.filterbank.obs_length_s = 10.0;
-  config.chunk_samples = 1024;
   const DmGrid grid({{0.0, 60.0, 0.25}});
 
   serve::SurveyService service(dir, grid, config);

@@ -791,6 +791,13 @@ void WorkerPool::enqueue(PoolWorker& w, std::string bytes) {
   flush(w);
 }
 
+void WorkerPool::enqueue(PoolWorker& w, const char* data, std::size_t size) {
+  if (!w.alive) return;  // death recovery re-dispatches separately
+  count_ipc(size);
+  w.outbuf.append(data, size);
+  flush(w);
+}
+
 void WorkerPool::enqueue_frame(PoolWorker& w, const ipc::TaskFrame& frame,
                                const std::vector<FrameSpan>& spans) {
   if (!w.alive) return;  // death recovery re-dispatches separately
@@ -956,11 +963,12 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
       r.get_u64();  // set (the in-flight stage's out set)
       const std::uint64_t target = r.get_u64();
       const std::size_t owner = static_cast<std::size_t>(target) % nworkers_;
-      // Relay the received frame bytes verbatim — no re-encode. Slots that
-      // already died this stage get nothing: their targets lost earlier
-      // segments with the old incarnation and will be parent-rebuilt.
+      // Relay the received frame bytes verbatim — no re-encode, one copy
+      // into the owner's send buffer. Slots that already died this stage
+      // get nothing: their targets lost earlier segments with the old
+      // incarnation and will be parent-rebuilt.
       if (ctx_->stage_deaths[owner] == 0) {
-        enqueue(workers_[owner], std::string(raw, consumed));
+        enqueue(workers_[owner], raw, consumed);
       }
       break;
     }

@@ -173,6 +173,9 @@ class WorkerPool {
   void retire(PoolWorker& w);
   void handle_death(PoolWorker& w);
   void enqueue(PoolWorker& w, std::string bytes);
+  /// Appends bytes the caller does not own (a relayed frame) to w's send
+  /// buffer: one copy.
+  void enqueue(PoolWorker& w, const char* data, std::size_t size);
   /// Encodes `frame` with `spans` as its payload straight into w's send
   /// buffer (one copy of the span bytes).
   void enqueue_frame(PoolWorker& w, const ipc::TaskFrame& frame,

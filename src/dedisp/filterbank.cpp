@@ -32,12 +32,14 @@ Filterbank::Filterbank(FilterbankConfig config, std::size_t num_samples)
   data_.assign(config_.num_channels * num_samples_, 0.0f);
 }
 
+std::size_t config_num_samples(const FilterbankConfig& config) {
+  if (!(config.obs_length_s > 0.0 && config.sample_time_ms > 0.0)) return 0;
+  return static_cast<std::size_t>(config.obs_length_s * 1e3 /
+                                  config.sample_time_ms);
+}
+
 Filterbank::Filterbank(FilterbankConfig config)
-    : Filterbank(config,
-                 config.obs_length_s > 0.0 && config.sample_time_ms > 0.0
-                     ? static_cast<std::size_t>(config.obs_length_s * 1e3 /
-                                                config.sample_time_ms)
-                     : 0) {
+    : Filterbank(config, config_num_samples(config)) {
   if (config_.obs_length_s <= 0.0) {
     throw std::invalid_argument("invalid filterbank configuration");
   }
@@ -183,7 +185,7 @@ void Filterbank::write_fil(const std::string& path) const {
                                     static_cast<double>(num_channels()));
   fil_write_string(out, "HEADER_END");
   // Time-major frames: sample s of every channel, ascending channel — the
-  // on-disk order a live receiver emits and a streaming ingester consumes.
+  // on-disk order a live receiver emits.
   std::vector<float> frame(num_channels());
   for (std::size_t s = 0; s < num_samples_; ++s) {
     for (std::size_t c = 0; c < num_channels(); ++c) {

@@ -30,6 +30,11 @@ struct FilterbankConfig {
   double obs_length_s = 8.0;
 };
 
+/// Samples per channel of an observation of this geometry:
+/// floor(obs_length_s / sample_time), 0 for a non-positive length or
+/// sampling time.
+std::size_t config_num_samples(const FilterbankConfig& config);
+
 /// A `.fil` file failed validation on open: truncated or unparseable
 /// header, zero channels, unsupported sample encoding, or a data section
 /// inconsistent with nchans/nbits/nsamples.
@@ -87,8 +92,7 @@ class Filterbank {
 
   /// Writes a SIGPROC-style `.fil` file: binary header items (HEADER_START,
   /// nchans/nbits/nsamples, tsamp, fch1/foff, HEADER_END) followed by
-  /// 32-bit-float samples in time-major frame order — the chunked layout a
-  /// streaming ingester reads frame by frame.
+  /// 32-bit-float samples in time-major frame order.
   void write_fil(const std::string& path) const;
 
   /// Opens a `.fil` file written by write_fil() (or any SIGPROC file with

@@ -126,9 +126,10 @@ std::vector<std::uint8_t> estimate_channel_mask(
   return mask;
 }
 
-void zero_dm_subtract(float* data, std::size_t row_stride,
-                      std::size_t channels, std::size_t begin, std::size_t end,
-                      const std::uint8_t* mask) {
+void zero_dm_subtract(Filterbank& fb, const std::uint8_t* mask) {
+  const std::size_t channels = fb.num_channels();
+  const std::size_t n = fb.num_samples();
+  float* data = fb.channel_data(0);
   std::size_t active = channels;
   if (mask != nullptr) {
     active = 0;
@@ -138,17 +139,15 @@ void zero_dm_subtract(float* data, std::size_t row_stride,
   }
   if (active == 0) return;
   const double inv = 1.0 / static_cast<double>(active);
-  for (std::size_t s = begin; s < end; ++s) {
-    // Ascending-channel double accumulation, rounded to float exactly once:
-    // the same arithmetic at any blocking, so streaming chunks reproduce
-    // the one-shot subtraction bit for bit.
+  for (std::size_t s = 0; s < n; ++s) {
+    // Ascending-channel double accumulation, rounded to float exactly once.
     double sum = 0.0;
     for (std::size_t c = 0; c < channels; ++c) {
-      if (mask == nullptr || mask[c] == 0) sum += data[c * row_stride + s];
+      if (mask == nullptr || mask[c] == 0) sum += data[c * n + s];
     }
     const float mean = static_cast<float>(sum * inv);
     for (std::size_t c = 0; c < channels; ++c) {
-      if (mask == nullptr || mask[c] == 0) data[c * row_stride + s] -= mean;
+      if (mask == nullptr || mask[c] == 0) data[c * n + s] -= mean;
     }
   }
 }
@@ -178,8 +177,7 @@ MitigationReport apply_rfi_mitigation(Filterbank& fb,
     mask.clear();
   }
   if (policy_zero_dm(params.policy)) {
-    zero_dm_subtract(fb.channel_data(0), fb.num_samples(), fb.num_channels(),
-                     0, fb.num_samples(), mask.empty() ? nullptr : mask.data());
+    zero_dm_subtract(fb, mask.empty() ? nullptr : mask.data());
     report.zero_dm_samples = fb.num_samples();
     obs::global_counters().add("dedisp.rfi.zero_dm_samples",
                                static_cast<std::int64_t>(fb.num_samples()));

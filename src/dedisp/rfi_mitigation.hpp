@@ -9,9 +9,7 @@
 //    cross-channel mean at each time sample carries the interference and
 //    almost none of a dispersed pulse (which occupies one channel per
 //    sample). Subtracting the per-sample mean cancels the impulse while
-//    attenuating a genuine pulse only by ~1/num_channels. The subtraction
-//    is frame-local, so the streaming sweep applies it chunk by chunk with
-//    byte-identical results to the one-shot path.
+//    attenuating a genuine pulse only by ~1/num_channels.
 //
 //  - Channel masking: persistent narrowband carriers park on a few channels
 //    and inflate their mean/variance far beyond the band's. Per-channel
@@ -56,23 +54,17 @@ inline bool policy_zero_dm(MitigationPolicy policy) {
 
 /// Estimates the per-channel exclusion mask (1 = masked) from per-channel
 /// mean/variance scored against the band's robust median/MAD. Deterministic:
-/// same data, same params, same mask — the streaming service estimates once
-/// up front and gets byte-identical results to the one-shot path. The
-/// masked fraction is capped at `params.max_mask_fraction` (worst offenders
-/// kept, ties broken toward lower channels).
+/// same data, same params, same mask. The masked fraction is capped at
+/// `params.max_mask_fraction` (worst offenders kept, ties broken toward
+/// lower channels).
 std::vector<std::uint8_t> estimate_channel_mask(
     const Filterbank& fb, const RfiMitigationParams& params);
 
-/// Zero-DM subtraction over a channel-major block: for each time sample in
-/// [begin, end), subtracts the cross-channel mean (double accumulation,
-/// rounded to float once) from every contributing channel. `row_stride` is
-/// the distance between consecutive channel rows; `mask` (nullable) excludes
-/// channels from both the mean and the subtraction. Per-sample and
-/// independent of blocking, so chunked application matches one-shot bit for
-/// bit.
-void zero_dm_subtract(float* data, std::size_t row_stride,
-                      std::size_t channels, std::size_t begin, std::size_t end,
-                      const std::uint8_t* mask);
+/// Zero-DM subtraction in place: for each time sample, subtracts the
+/// cross-channel mean (double accumulation, rounded to float once) from
+/// every contributing channel. `mask` (nullable) excludes channels from both
+/// the mean and the subtraction.
+void zero_dm_subtract(Filterbank& fb, const std::uint8_t* mask);
 
 /// What the mitigation stage did — for spans, counters, and CLI reporting.
 struct MitigationReport {

@@ -108,8 +108,8 @@ SweepPlan build_sweep_plan(const Filterbank& fb, const DmGrid& grid,
       ShiftPlan plan;
       if (active != 0 && active != channels) {
         // max_shift over surviving channels only: the saturated masked
-        // entries would otherwise stretch the streaming carry window (and
-        // the tail-normalization span) to the whole observation.
+        // entries would otherwise stretch the tail-normalization span to
+        // the whole observation.
         std::uint32_t max_shift = 0;
         for (std::size_t c = 0; c < channels; ++c) {
           if (!channel_mask[c]) max_shift = std::max(max_shift, shifts[c]);

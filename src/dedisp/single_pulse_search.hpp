@@ -102,12 +102,10 @@ void dedisperse_plan(const Filterbank& fb, const ShiftPlan& plan,
 /// dedispersed series of `channels` channels: the max_shift-long tail, where
 /// shifted channels have run out of data, is rescaled to the full-channel
 /// noise level. Must run exactly once per series, after every channel's
-/// contribution has been summed — the streaming sweep defers it to finalize
-/// so samples inside the chunk-overlap carry region are never rescaled
-/// twice. `contrib_prefix` is reusable scratch (overwritten). For a masked
-/// plan (`plan.active_channels != 0`) the rescale target is the plan's
-/// active channel count, not `channels` — the result matches a filterbank
-/// with the masked channels physically removed.
+/// contribution has been summed. `contrib_prefix` is reusable scratch
+/// (overwritten). For a masked plan (`plan.active_channels != 0`) the
+/// rescale target is the plan's active channel count, not `channels` — the
+/// result matches a filterbank with the masked channels physically removed.
 void normalize_tail(const ShiftPlan& plan, std::size_t channels,
                     std::vector<double>& series,
                     std::vector<std::uint32_t>& contrib_prefix);
@@ -179,11 +177,10 @@ struct SinglePulseSearchParams {
   /// routes through apply_rfi_mitigation (rfi_mitigation.hpp) first.
   RfiMitigationParams rfi;
   /// Per-channel exclusion mask (1 = masked), one byte per channel. Usually
-  /// filled in by the mitigation stage; set it explicitly to pin a known
-  /// mask — the streaming sweep requires an explicit mask for mask policies
-  /// because it cannot estimate one from data it has not seen yet. Empty =
-  /// all channels active. Masked channels contribute neither samples nor
-  /// tail-normalization counts.
+  /// filled in by the mitigation stage, which estimates it from the raw
+  /// filterbank when a mask policy runs with this empty; set it explicitly
+  /// to pin a known mask. Empty = all channels active. Masked channels
+  /// contribute neither samples nor tail-normalization counts.
   std::vector<std::uint8_t> channel_mask;
 
   /// Pool width, with 0 treated as 1. Sweep output is byte-identical at any
@@ -233,7 +230,7 @@ void detect_events_into(const std::vector<double>& series, double dm,
 
 namespace detail {
 
-/// The deterministic trial-order merge shared by the one-shot and streaming
+/// The deterministic trial-order merge shared by the exact and subband
 /// sweeps: walks the strided trial sequence, stamps each trial's nominal DM
 /// into its plan's shared event list, and sorts by (dm, time) — exactly the
 /// output a per-trial loop would append. `found` holds one event list per

@@ -60,9 +60,7 @@ SubbandPlan decompose(const SweepPlan& sweep, std::size_t channels,
         // base is the group's min shift, so residuals never underflow; a
         // residual at the clamp value contributes nothing, matching the
         // clamped full shift exactly.
-        const std::uint32_t r = shifts[c] - base;
-        residuals[c - group.begin] = r;
-        sub.max_residual = std::max(sub.max_residual, r);
+        residuals[c - group.begin] = shifts[c] - base;
       }
       key.assign(reinterpret_cast<const char*>(residuals.data()),
                  residuals.size() * sizeof(std::uint32_t));
@@ -133,6 +131,12 @@ SubbandPlan build_subband_plan(const SweepPlan& sweep, std::size_t channels,
   return best;
 }
 
+namespace {
+
+/// Stage 1 for one coarse node: out[t] = Σ_{i} x_{group.begin+i}[t + r_i]
+/// over t where t + r_i < n (ascending channel order per sample, exactly
+/// like dedisperse_plan within the group). out must hold n doubles; it is
+/// overwritten.
 void accumulate_subband_partial(const Filterbank& fb,
                                 const SubbandGroup& group,
                                 const SubbandPattern& pattern, double* out,
@@ -145,6 +149,11 @@ void accumulate_subband_partial(const Filterbank& fb,
   }
 }
 
+/// Stage 2 for one plan: series[s] = Σ_g partials[g][s + offset_g] for the
+/// groups still in range (ascending group order per sample — the regrouped
+/// summation the error bound describes). partials[g] points at the partial
+/// series for the plan's (g, pattern) node; series is resized to n and
+/// fully overwritten. Does NOT apply normalize_tail.
 void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
                             const double* const* partials, std::size_t n,
                             std::vector<double>& series) {
@@ -197,6 +206,8 @@ void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
   }
   if (s < n) std::fill(series.begin() + static_cast<long>(s), series.end(), 0.0);
 }
+
+}  // namespace
 
 void subband_series(const Filterbank& fb, const SweepPlan& sweep,
                     const SubbandPlan& sub, std::size_t plan_index,
@@ -369,8 +380,6 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
     sweep_span.arg("plans_unique", static_cast<std::int64_t>(num_plans));
     sweep_span.arg("groups", static_cast<std::int64_t>(num_groups));
     sweep_span.arg("nodes", static_cast<std::int64_t>(sub.total_patterns));
-    sweep_span.arg("max_residual",
-                   static_cast<std::int64_t>(sub.max_residual));
     sweep_span.arg("events", static_cast<std::int64_t>(events.size()));
     sweep_span.arg("threads", static_cast<std::int64_t>(sweep_threads));
     sweep_span.arg("kernel", kernels::dispatch_name());

@@ -74,10 +74,6 @@ struct SubbandPlan {
   /// pattern_base[g] + p; pattern_base.back() == total_patterns.
   std::vector<std::size_t> pattern_base;
   std::size_t total_patterns = 0;
-  /// Largest residual over all patterns (clamped to num_samples) — the only
-  /// lookback stage 1 needs, so the streaming overlap carry shrinks from the
-  /// full-band max shift to this.
-  std::uint32_t max_residual = 0;
 
   const SubbandEntry& entry(std::size_t plan, std::size_t g) const {
     return entries[plan * groups.size() + g];
@@ -93,24 +89,6 @@ struct SubbandPlan {
 SubbandPlan build_subband_plan(const SweepPlan& sweep, std::size_t channels,
                                std::size_t num_samples,
                                std::size_t groups = 0);
-
-/// Stage 1 for one coarse node: out[t] = Σ_{i} x_{group.begin+i}[t + r_i]
-/// over t where t + r_i < n (ascending channel order per sample, exactly
-/// like dedisperse_plan within the group). out must hold n doubles; it is
-/// overwritten.
-void accumulate_subband_partial(const Filterbank& fb,
-                                const SubbandGroup& group,
-                                const SubbandPattern& pattern, double* out,
-                                std::size_t n);
-
-/// Stage 2 for one plan: series[s] = Σ_g partials[g][s + offset_g] for the
-/// groups still in range (ascending group order per sample — the regrouped
-/// summation the error bound describes). partials[g] points at the partial
-/// series for the plan's (g, pattern) node; series is resized to n and
-/// fully overwritten. Does NOT apply normalize_tail.
-void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
-                            const double* const* partials, std::size_t n,
-                            std::vector<double>& series);
 
 /// Test/verification helper: dedisperses one plan via the subband path
 /// (stage 1 for its G nodes + stage 2 + normalize_tail) into scratch.series

@@ -1,12 +1,9 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "dedisp/rfi_mitigation.hpp"
-#include "dedisp/streaming_sweep.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -100,26 +97,13 @@ void SurveyService::ingest(const Job& job) {
   if (got.num_channels != want.num_channels ||
       got.sample_time_ms != want.sample_time_ms ||
       got.bandwidth_mhz != want.bandwidth_mhz ||
-      got.center_freq_mhz != want.center_freq_mhz) {
+      got.center_freq_mhz != want.center_freq_mhz ||
+      job.fb.num_samples() != config_num_samples(want)) {
     throw std::invalid_argument(
         "observation geometry does not match the service configuration");
   }
-  // The streaming sweep refuses to estimate a channel mask itself (it never
-  // sees the whole observation); the service has the full filterbank in
-  // hand, so estimate per observation here and hand the sweep a fixed mask.
-  SinglePulseSearchParams search = config_.search;
-  if (policy_masks_channels(search.rfi.policy) &&
-      search.channel_mask.empty()) {
-    search.channel_mask = estimate_channel_mask(job.fb, search.rfi);
-  }
-  StreamingSweep sweep(got, grid_, search);
-  const std::size_t total = sweep.total_samples();
-  const std::size_t chunk =
-      config_.chunk_samples == 0 ? total : config_.chunk_samples;
-  for (std::size_t begin = 0; begin < total; begin += chunk) {
-    sweep.push(job.fb, begin, std::min(chunk, total - begin));
-  }
-  const std::vector<SinglePulseEvent> events = sweep.finalize();
+  const std::vector<SinglePulseEvent> events =
+      single_pulse_search(job.fb, grid_, config_.search);
   for (const auto& event : events) archive_.append(job.id, event);
   archive_.seal();
 

@@ -1,13 +1,13 @@
-// Streaming survey service: chunked ingestion in front of the candidate
+// Survey service: whole-observation ingestion in front of the candidate
 // archive.
 //
 // One SurveyService owns an ingest queue, a single writer thread and a
-// CandidateArchive. Observations are submitted whole (or streamed
-// block-by-block through an IngestSession); the writer thread feeds each
-// one to a StreamingSweep in fixed-size sample chunks with overlap carry,
-// archives the resulting candidates under the observation's key, and seals
-// one segment per observation. Queries run on the callers' threads against
-// archive snapshots, fully concurrent with ingestion.
+// CandidateArchive. Observations are submitted whole; the writer thread
+// runs single_pulse_search over each one (the same sweep, mitigation and
+// method choice as a one-shot search, so the archived candidates equal it
+// byte for byte), archives the events under the observation's key, and
+// seals one segment per observation. Queries run on the callers' threads
+// against archive snapshots, fully concurrent with ingestion.
 //
 // Instrumentation (src/obs): `serve.ingest` spans around each observation,
 // `serve.query` spans/counters from the archive, `serve.observations` and
@@ -35,8 +35,9 @@ namespace serve {
 struct SurveyServiceConfig {
   FilterbankConfig filterbank;        ///< geometry every observation matches
   SinglePulseSearchParams search;     ///< sweep parameters
-  /// Ingest chunk size in samples; 0 = one chunk per observation. The
-  /// streaming sweep's output is byte-identical for any value.
+  /// Ignored. Observations are swept whole; the field remains only because
+  /// perfbench/survey_bench.cpp still assigns it, and goes when that
+  /// benchmark next changes.
   std::size_t chunk_samples = 4096;
 };
 
@@ -52,9 +53,9 @@ class SurveyService {
   SurveyService& operator=(const SurveyService&) = delete;
 
   /// Enqueues one whole observation for ingestion; returns immediately.
-  /// The filterbank must match the configured geometry (checked by the
-  /// sweep on the writer thread; a mismatch fails that observation and
-  /// counts `serve.ingest_errors`).
+  /// The filterbank must match the configured geometry, sample count
+  /// included (checked on the writer thread; a mismatch fails that
+  /// observation and counts `serve.ingest_errors`).
   void submit(ObservationId id, Filterbank fb);
 
   /// Blocks until every submitted observation has been ingested and sealed.

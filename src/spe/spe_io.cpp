@@ -1,5 +1,6 @@
 #include "spe/spe_io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -11,11 +12,14 @@ namespace drapid {
 
 namespace {
 
+/// `v` as printf's %.<precision>g in the C locale — the text
+/// `std::ostream << v` writes at this precision — without building a stream
+/// per field.
 std::string fmt(double v, int precision = 6) {
-  std::ostringstream out;
-  out.precision(precision);
-  out << v;
-  return out.str();
+  char buf[32];  // "-d.<16 digits>e-308" is 24 characters
+  const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, precision);
+  return std::string(buf, res.ptr);
 }
 
 std::ifstream open_input(const std::string& path) {

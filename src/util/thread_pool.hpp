@@ -1,6 +1,6 @@
 // Fixed-size parallel_for pool used by the multithreaded RAPID baseline, the
-// dataflow engine's local backend, the DM and streaming sweeps,
-// cross-validation folds and forest training.
+// dataflow engine's local backend, the DM sweeps, cross-validation folds and
+// forest training.
 //
 // The pool mirrors the execution model the paper benchmarks against: a fixed
 // number of threads running independent tasks. parallel_for — the

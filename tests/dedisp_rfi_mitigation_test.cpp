@@ -1,7 +1,7 @@
 // RFI mitigation stage: zero-DM subtraction, robust channel-mask estimation,
 // masked-plan exactness (tail normalization over active channels only, masked
-// channel contents provably never read), streaming/one-shot equivalence under
-// every policy, and the robust_stats degenerate-series regressions.
+// channel contents provably never read), and the robust_stats
+// degenerate-series regressions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "dedisp/rfi_mitigation.hpp"
 #include "dedisp/single_pulse_search.hpp"
-#include "dedisp/streaming_sweep.hpp"
 #include "synth/dispersion.hpp"
 #include "util/rng.hpp"
 
@@ -188,8 +187,7 @@ TEST(ZeroDm, RemovesCrossChannelMeanExactly) {
   Rng rng(7);
   fb.add_noise(rng, 1.0);
   Filterbank cleaned = fb;
-  zero_dm_subtract(cleaned.channel_data(0), cleaned.num_samples(),
-                   cleaned.num_channels(), 0, cleaned.num_samples(), nullptr);
+  zero_dm_subtract(cleaned, nullptr);
   // Per-sample cross-channel sums collapse to (near) zero.
   for (std::size_t s = 0; s < cleaned.num_samples(); s += 97) {
     double sum = 0.0;
@@ -323,54 +321,6 @@ TEST(Mitigation, BothPolicyMatchesSubbandRouting) {
   const auto subband = single_pulse_search(fb, grid, params);
   ASSERT_FALSE(exact.empty());
   EXPECT_TRUE(events_identical(exact, subband));
-}
-
-// --- streaming equivalence under mitigation ---------------------------------
-
-std::vector<SinglePulseEvent> stream_in_chunks(
-    const Filterbank& fb, const DmGrid& grid,
-    const SinglePulseSearchParams& params, std::size_t chunk) {
-  StreamingSweep sweep(fb.config(), grid, params);
-  const std::size_t total = sweep.total_samples();
-  for (std::size_t begin = 0; begin < total; begin += chunk) {
-    sweep.push(fb, begin, std::min(chunk, total - begin));
-  }
-  return sweep.finalize();
-}
-
-TEST(Mitigation, StreamingMatchesOneShotUnderEveryPolicy) {
-  Filterbank fb = clean_filterbank(31);
-  fb.inject_rfi_tone(11, 6.0, 0.0, 10.0);
-  fb.inject_broadband_impulse(7.0, 8.0);
-  const DmGrid grid({{0.0, 60.0, 0.5}});
-  for (MitigationPolicy policy :
-       {MitigationPolicy::kOff, MitigationPolicy::kZeroDm,
-        MitigationPolicy::kChannelMask, MitigationPolicy::kBoth}) {
-    SinglePulseSearchParams params;
-    params.rfi.policy = policy;
-    if (policy_masks_channels(policy)) {
-      // A stream cannot estimate a mask from unseen data; estimate from the
-      // whole observation (what SurveyService::ingest does) and pin the
-      // one-shot path to the same mask.
-      params.channel_mask = estimate_channel_mask(fb, params.rfi);
-    }
-    const auto reference = single_pulse_search(fb, grid, params);
-    ASSERT_FALSE(reference.empty());
-    for (std::size_t chunk : {64u, 301u, 5000u}) {
-      EXPECT_TRUE(
-          events_identical(stream_in_chunks(fb, grid, params, chunk),
-                           reference))
-          << "policy " << mitigation_policy_name(policy) << " chunk " << chunk;
-    }
-  }
-}
-
-TEST(Mitigation, StreamingMaskWithoutExplicitMaskThrows) {
-  const DmGrid grid({{0.0, 60.0, 0.5}});
-  SinglePulseSearchParams params;
-  params.rfi.policy = MitigationPolicy::kChannelMask;
-  EXPECT_THROW(StreamingSweep(small_config(), grid, params),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -128,7 +128,6 @@ TEST(SubbandSweep, DecompositionReconstructsEveryShiftExactly) {
   // base_g + residual_c must recreate every channel's clamped shift — this
   // is what makes the subband coverage exact and normalize_tail applicable
   // unchanged.
-  std::uint32_t max_residual = 0;
   for (std::size_t p = 0; p < sweep.plans.size(); ++p) {
     for (std::size_t g = 0; g < sub.groups.size(); ++g) {
       const SubbandEntry& entry = sub.entry(p, g);
@@ -138,11 +137,9 @@ TEST(SubbandSweep, DecompositionReconstructsEveryShiftExactly) {
         EXPECT_EQ(entry.offset + pattern.residuals[i],
                   sweep.plans[p].shifts[sub.groups[g].begin + i])
             << "plan " << p << " group " << g << " channel " << i;
-        max_residual = std::max(max_residual, pattern.residuals[i]);
       }
     }
   }
-  EXPECT_EQ(sub.max_residual, max_residual);
 }
 
 TEST(SubbandSweep, SingleChannelFilterbankDegenerate) {

@@ -1,6 +1,6 @@
-// SurveyService: chunked ingest through the streaming sweep into the
-// archive, queried concurrently — results equal a post-hoc full scan built
-// from one-shot searches.
+// SurveyService: whole-observation ingest through single_pulse_search into
+// the archive, queried concurrently — results equal a post-hoc full scan
+// built from one-shot searches, mitigation included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "dedisp/rfi_mitigation.hpp"
 #include "dedisp/single_pulse_search.hpp"
 #include "obs/counters.hpp"
 #include "serve/service.hpp"
@@ -78,7 +79,6 @@ TEST(SurveyService, IngestedCandidatesEqualPostHocFullScan) {
   const DmGrid grid({{30.0, 50.0, 0.25}});
   SurveyServiceConfig config;
   config.filterbank = cfg;
-  config.chunk_samples = 700;  // forces several chunks per observation
 
   constexpr int kObservations = 4;
   std::vector<CandidateRecord> expected;
@@ -120,27 +120,49 @@ TEST(SurveyService, IngestedCandidatesEqualPostHocFullScan) {
   EXPECT_EQ(reopened.query({}), expected);
 }
 
-TEST(SurveyService, ChunkSizeDoesNotChangeResults) {
-  TempDir dir_a, dir_b;
+// Mask policies with no explicit mask: the sweep's mitigation stage
+// estimates the mask from the raw observation. The archive must equal,
+// byte for byte, the one-shot search with the same params and the search
+// pinned to estimate_channel_mask of the same raw observation.
+TEST(SurveyService, MitigatedIngestEqualsOneShotSearch) {
+  TempDir dir;
   const FilterbankConfig cfg = small_config();
-  const DmGrid grid({{35.0, 45.0, 0.5}});
+  const DmGrid grid({{30.0, 50.0, 0.25}});
   SurveyServiceConfig config;
   config.filterbank = cfg;
+  config.search.rfi.policy = MitigationPolicy::kBoth;
+  ASSERT_TRUE(config.search.channel_mask.empty());
 
-  config.chunk_samples = 0;  // whole observation in one chunk
-  SurveyService one_shot(dir_a.str(), grid, config);
-  config.chunk_samples = 97;  // many ragged chunks
-  SurveyService chunked(dir_b.str(), grid, config);
+  constexpr int kObservations = 2;
+  const auto dirty = [&](int i) {
+    Filterbank fb = observation(cfg, 40 + i);
+    fb.inject_rfi_tone(5 + i, 6.0, 0.0, cfg.obs_length_s);
+    fb.inject_broadband_impulse(0.5 + i, 8.0);
+    return fb;
+  };
+  SurveyService service(dir.str(), grid, config);
+  for (int i = 0; i < kObservations; ++i) service.submit(obs_id(i), dirty(i));
+  service.drain();
+  ASSERT_EQ(service.ingest_errors(), 0u);
 
-  for (int i = 0; i < 2; ++i) {
-    one_shot.submit(obs_id(i), observation(cfg, 7 + i));
-    chunked.submit(obs_id(i), observation(cfg, 7 + i));
+  std::vector<CandidateRecord> one_shot, pinned;
+  for (int i = 0; i < kObservations; ++i) {
+    const Filterbank fb = dirty(i);
+    for (const auto& event : single_pulse_search(fb, grid, config.search)) {
+      one_shot.push_back({obs_id(i), event});
+    }
+    SinglePulseSearchParams explicit_mask = config.search;
+    explicit_mask.channel_mask = estimate_channel_mask(fb, config.search.rfi);
+    ASSERT_EQ(explicit_mask.channel_mask[5 + i], 1u);
+    for (const auto& event : single_pulse_search(fb, grid, explicit_mask)) {
+      pinned.push_back({obs_id(i), event});
+    }
   }
-  one_shot.drain();
-  chunked.drain();
-  const auto a = one_shot.query({});
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, chunked.query({}));
+  ASSERT_FALSE(one_shot.empty());
+  std::sort(one_shot.begin(), one_shot.end(), candidate_order);
+  std::sort(pinned.begin(), pinned.end(), candidate_order);
+  EXPECT_EQ(service.query({}), one_shot);
+  EXPECT_EQ(service.query({}), pinned);
 }
 
 TEST(SurveyService, GeometryMismatchCountsAsIngestError) {
@@ -162,6 +184,30 @@ TEST(SurveyService, GeometryMismatchCountsAsIngestError) {
   EXPECT_EQ(counter("serve.ingest_errors") - errors_before, 1);
   // The healthy observation still made it in.
   EXPECT_EQ(service.archive().num_segments(), 1u);
+}
+
+TEST(SurveyService, RejectsWrongLengthObservation) {
+  TempDir dir;
+  const FilterbankConfig cfg = small_config();
+  const DmGrid grid({{35.0, 45.0, 0.5}});
+  SurveyServiceConfig config;
+  config.filterbank = cfg;
+  SurveyService service(dir.str(), grid, config);
+
+  // Same channels, band and sampling; one second shorter.
+  FilterbankConfig shorter = cfg;
+  shorter.obs_length_s = cfg.obs_length_s - 1.0;
+  const std::int64_t errors_before = counter("serve.ingest_errors");
+  service.submit(obs_id(0), observation(shorter, 3));
+  service.submit(obs_id(1), observation(cfg, 3));
+  service.drain();
+  EXPECT_EQ(service.ingest_errors(), 1u);
+  EXPECT_EQ(service.observations_ingested(), 1u);
+  EXPECT_EQ(counter("serve.ingest_errors") - errors_before, 1);
+  EXPECT_EQ(service.archive().num_segments(), 1u);
+  Query rejected;
+  rejected.key = obs_id(0).key();
+  EXPECT_TRUE(service.query(rejected).empty());
 }
 
 TEST(SurveyService, EmitsIngestCountersAndGauge) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -60,6 +62,62 @@ TEST(DataFile, RowRoundTrip) {
   EXPECT_NEAR(e2.time_s, e.time_s, 1e-6);
   EXPECT_EQ(e2.sample, e.sample);
   EXPECT_EQ(e2.downfact, e.downfact);
+}
+
+// The row encoder prints every double as `std::ostream << v` at the field's
+// precision would: 17 for mjd/ra/dec, 6 for dm/snr, 9 for time_s.
+std::string stream_text(double v, int precision) {
+  std::ostringstream out;
+  out.precision(precision);
+  out << v;
+  return out.str();
+}
+
+TEST(DataFile, NumberTextMatchesStreamFormatting) {
+  using limits = std::numeric_limits<double>;
+  const double values[] = {0.0,
+                           -0.0,
+                           limits::denorm_min(),
+                           -limits::denorm_min(),
+                           limits::min() / 3.0,
+                           limits::min(),
+                           limits::max(),
+                           -limits::max(),
+                           1e-5,
+                           -1e-5,
+                           1.2345678901234567e-5,
+                           1e17,
+                           1.2345678901234567e17,
+                           123456.0,
+                           1234567.0,
+                           -42.0,
+                           9007199254740993.0,
+                           56000.5,
+                           0.1,
+                           1.0 / 3.0,
+                           100.001,
+                           999999.5,
+                           limits::infinity(),
+                           -limits::infinity(),
+                           limits::quiet_NaN(),
+                           -limits::quiet_NaN()};
+  for (const double v : values) {
+    ObservationId id;
+    id.dataset = "X";
+    id.mjd = v;
+    id.ra_deg = v;
+    id.dec_deg = v;
+    const SinglePulseEvent e{v, v, v, 0, 1};
+    const CsvRow row = format_data_row(id, e);
+    ASSERT_EQ(row.size(), 10u);
+    for (std::size_t col : {1u, 2u, 3u}) {
+      EXPECT_EQ(row[col], stream_text(v, 17)) << "column " << col << " " << v;
+    }
+    for (std::size_t col : {5u, 6u}) {
+      EXPECT_EQ(row[col], stream_text(v, 6)) << "column " << col << " " << v;
+    }
+    EXPECT_EQ(row[7], stream_text(v, 9)) << v;
+  }
 }
 
 TEST(DataFile, WrongColumnCountThrows) {

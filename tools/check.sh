@@ -65,7 +65,6 @@ TSAN_TARGETS=(
   obs_trace_test
   ml_tree_presort_test
   dedisp_sweep_test
-  dedisp_streaming_test
   dedisp_subband_test
   dedisp_kernels_test
   dedisp_rfi_mitigation_test
